@@ -110,6 +110,49 @@ void BM_PartitionGroupByInterpreted(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionGroupByInterpreted);
 
+// Wide group-by: three grouped dimensions of cardinality 32, a
+// 32,768-key space past the 4,096-slot direct cap, so the vectorized
+// scan groups by packed keys (DESIGN.md §12). Against its interpreted
+// oracle on the identical workload, the gate keeps the packed-key speedup
+// (scripts/check_perf_regression.py).
+cubrick::TablePartition MakeWidePartition() {
+  const cubrick::TableSchema schema = workload::MakeSchema(
+      /*dims=*/3, /*cardinality=*/32, /*range_size=*/8, /*metrics=*/2);
+  cubrick::TablePartition part("bench", 0, schema);
+  Rng rng(7);
+  for (const auto& row : workload::GenerateRows(schema, 100000, rng)) {
+    part.Insert(row);
+  }
+  return part;
+}
+
+void RunWideGroupBy(benchmark::State& state, exec::ScanPath path) {
+  cubrick::TablePartition part = MakeWidePartition();
+  exec::ExecOptions opts;
+  opts.scan_path = path;
+  cubrick::Query q;
+  q.table = "bench";
+  q.group_by = {0, 1, 2};
+  q.aggregations = {cubrick::Aggregation{0, cubrick::AggOp::kSum},
+                    cubrick::Aggregation{1, cubrick::AggOp::kCount}};
+  for (auto _ : state) {
+    cubrick::QueryResult result(2);
+    part.Execute(q, result, nullptr, &opts);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * 100000);
+}
+
+void BM_PartitionGroupByWide(benchmark::State& state) {
+  RunWideGroupBy(state, exec::ScanPath::kVectorized);
+}
+BENCHMARK(BM_PartitionGroupByWide);
+
+void BM_PartitionGroupByWideInterpreted(benchmark::State& state) {
+  RunWideGroupBy(state, exec::ScanPath::kInterpreted);
+}
+BENCHMARK(BM_PartitionGroupByWideInterpreted);
+
 void BM_PartitionGroupByParallel(benchmark::State& state) {
   cubrick::TablePartition part = MakePartition(100000);
   const int workers = static_cast<int>(state.range(0));

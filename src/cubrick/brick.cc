@@ -1,6 +1,7 @@
 #include "cubrick/brick.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -141,21 +142,42 @@ void Brick::EnsureUncompressed(std::atomic<int64_t>* decompressions) {
   }
 }
 
+AggState* RowScanGroups::StatesFor(const std::vector<uint32_t>& key) {
+  return groups.try_emplace(key, num_aggs).first->second.data();
+}
+
+void RowScanGroups::Flush(QueryResult& result) const {
+  if (groups.empty()) return;
+  const size_t arity = groups.begin()->first.size();
+  std::vector<uint32_t> keys;
+  std::vector<AggState> states;
+  keys.reserve(groups.size() * arity);
+  states.reserve(groups.size() * num_aggs);
+  for (const auto& [key, group] : groups) {
+    keys.insert(keys.end(), key.begin(), key.end());
+    states.insert(states.end(), group.begin(), group.end());
+  }
+  result.MergeSortedGroups(arity, std::move(keys), std::move(states));
+}
+
 void Brick::Scan(const TableSchema& schema, const Query& query,
                  QueryResult& result, std::atomic<int64_t>* decompressions,
                  const JoinContext* join) {
+  (void)schema;
   Touch();
   ++result.bricks_scanned;
-  ScanRange(schema, query, result, decompressions, join, 0, num_rows_);
+  RowScanGroups groups(query.aggregations.size());
+  ScanRange(query, groups, decompressions, join, 0, num_rows_);
+  groups.Flush(result);
+  result.rows_scanned += static_cast<int64_t>(num_rows_);
 }
 
-void Brick::ScanRange(const TableSchema& schema, const Query& query,
-                      QueryResult& result,
+void Brick::ScanRange(const Query& query, RowScanGroups& groups,
                       std::atomic<int64_t>* decompressions,
                       const JoinContext* join, size_t row_begin,
                       size_t row_end) {
   EnsureUncompressed(decompressions);
-  QueryResult::GroupKey key(query.group_by.size() +
+  std::vector<uint32_t> key(query.group_by.size() +
                             query.group_by_joins.size());
   for (size_t row = row_begin; row < row_end; ++row) {
     bool pass = true;
@@ -197,16 +219,15 @@ void Brick::ScanRange(const TableSchema& schema, const Query& query,
       key[query.group_by.size() + g] = attr;
     }
     if (!matched) continue;
+    AggState* states = groups.StatesFor(key);
     for (size_t a = 0; a < query.aggregations.size(); ++a) {
       const Aggregation& agg = query.aggregations[a];
       double v = agg.op == AggOp::kCount
                      ? 1.0
                      : metrics_[agg.metric][row];
-      result.Accumulate(key, a, v);
+      states[a].Add(v);
     }
   }
-  result.rows_scanned += static_cast<int64_t>(row_end - row_begin);
-  (void)schema;
 }
 
 void Brick::Compress() {

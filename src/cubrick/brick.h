@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -29,6 +30,22 @@ struct VecScanPlan;
 struct VecExecState;
 
 using BrickId = uint64_t;
+
+// Group states of the row-at-a-time scan, in a plain ordered map. That
+// scan is the reference the vectorized one is differentially tested
+// against, so it shares none of the vectorized grouping code (slot
+// maps, key index, slot sort) — only the result table it flushes into.
+struct RowScanGroups {
+  explicit RowScanGroups(size_t num_aggs) : num_aggs(num_aggs) {}
+
+  // The num_aggs states of `key`, created on first use.
+  AggState* StatesFor(const std::vector<uint32_t>& key);
+  // Emits every group into `result` in ascending key order.
+  void Flush(QueryResult& result) const;
+
+  size_t num_aggs;
+  std::map<std::vector<uint32_t>, std::vector<AggState>> groups;
+};
 
 // Computes the brick id for a row's dimension values under `schema`
 // (mixed-radix over per-dimension bucket indices).
@@ -87,14 +104,15 @@ class Brick {
             QueryResult& result, std::atomic<int64_t>* decompressions,
             const JoinContext* join = nullptr);
 
-  // Morsel scan: rows [row_begin, row_end) only, accumulating group
-  // states and rows_scanned into `result` (bricks_scanned and the
-  // hotness bump are the caller's business — a brick split into many
-  // morsels is still one brick scanned once). Safe to call concurrently
-  // with other ScanRange calls on the same brick: decompression is
-  // serialized behind a latch and the scan itself only reads.
-  void ScanRange(const TableSchema& schema, const Query& query,
-                 QueryResult& result, std::atomic<int64_t>* decompressions,
+  // Row-at-a-time scan of rows [row_begin, row_end) only, accumulating
+  // group states into `groups` (arity and aggregation count of `query`);
+  // rows_scanned, bricks_scanned and the hotness bump are the caller's
+  // business — a brick split into many morsels is still one brick
+  // scanned once. Safe to call concurrently with other ScanRange calls
+  // on the same brick: decompression is serialized behind a latch and
+  // the scan itself only reads.
+  void ScanRange(const Query& query, RowScanGroups& groups,
+                 std::atomic<int64_t>* decompressions,
                  const JoinContext* join, size_t row_begin, size_t row_end);
 
   // Vectorized morsel scan (defined in vec_scan.cc): evaluates the

@@ -448,7 +448,12 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
         ctx.transport->RecordModeledRtt(static_cast<double>(chain) / 1000.0);
       }
       outcome.partition_epochs[sub.partition] = partial->epoch;
-      outcome.result.Merge(partial->result);
+      const Status merged = outcome.result.Merge(partial->result);
+      if (!merged.ok()) {
+        outcome.status = merged;
+        outcome.failed_server = exec_server;
+        return outcome;
+      }
     }
     const SimDuration flat_merge =
         ctx.merge_overhead +
@@ -501,7 +506,11 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
           }
           outcome.partition_epochs[parts[lo]] = partial->epoch;
           fhops[lo] = partial->forward_hops;
-          outcome.result.Merge(partial->result);
+          data_status = outcome.result.Merge(partial->result);
+          if (!data_status.ok()) {
+            data_failed = hosts[lo];
+            break;
+          }
           continue;
         }
         wire::TreeMergeEnvelope envelope;
@@ -536,7 +545,11 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
           outcome.partition_epochs[parts[i]] = subtree->epochs[i - lo];
           fhops[i] = subtree->forward_hops[i - lo];
         }
-        outcome.result.Merge(subtree->result);
+        data_status = outcome.result.Merge(subtree->result);
+        if (!data_status.ok()) {
+          data_failed = hosts[lo];
+          break;
+        }
       }
     } else {
       for (size_t i = 0; i < num_leaves; ++i) {
@@ -558,7 +571,11 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
         }
         outcome.partition_epochs[parts[i]] = partial->epoch;
         fhops[i] = partial->forward_hops;
-        outcome.result.Merge(partial->result);
+        data_status = outcome.result.Merge(partial->result);
+        if (!data_status.ok()) {
+          data_failed = hosts[i];
+          break;
+        }
       }
     }
     if (!data_status.ok()) {
@@ -697,15 +714,8 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
         1, std::min<uint32_t>(
                static_cast<uint32_t>(std::max(1, plan.shuffle_buckets)),
                num_hosts));
-    std::map<uint32_t, QueryResult> buckets;
-    for (const auto& [key, states] : outcome.result.groups()) {
-      const uint32_t b = ShuffleBucket(key, raw, num_buckets);
-      auto [it, inserted] =
-          buckets.try_emplace(b, query.aggregations.size());
-      for (size_t a = 0; a < states.size(); ++a) {
-        it->second.AccumulateState(key, a, states[a]);
-      }
-    }
+    std::map<uint32_t, QueryResult> buckets =
+        SplitShuffleBuckets(outcome.result, raw, num_buckets);
     const int64_t rows_scanned = outcome.result.rows_scanned;
     const int64_t bricks_scanned = outcome.result.bricks_scanned;
     const int64_t bricks_pruned = outcome.result.bricks_pruned;
@@ -751,7 +761,12 @@ DistributedOutcome ExecuteDistributed(const ExecutionPlan& plan,
       }
       bspan.End(t_fan + chain);
       stage2_max = std::max(stage2_max, chain);
-      mapped_total.Merge(*mapped);
+      const Status merged = mapped_total.Merge(*mapped);
+      if (!merged.ok()) {
+        outcome.status = merged;
+        outcome.failed_server = map_server;
+        return outcome;
+      }
     }
     const SimDuration final_merge =
         ctx.merge_overhead +

@@ -126,8 +126,7 @@ Result<net::Message> HandleTreeMerge(CubrickServer* server,
       if (!partial.ok()) return partial.status();
       merged.epochs[i] = partial->epoch;
       merged.forward_hops[i] = partial->forward_hops;
-      merged.result.Merge(partial->result);
-      return Status::Ok();
+      return merged.result.Merge(partial->result);
     }
     if (ctx == nullptr || ctx->transport == nullptr) {
       return Status::FailedPrecondition(
@@ -143,8 +142,7 @@ Result<net::Message> HandleTreeMerge(CubrickServer* server,
     if (!partial.ok()) return partial.status();
     merged.epochs[i] = partial->epoch;
     merged.forward_hops[i] = partial->forward_hops;
-    merged.result.Merge(partial->result);
-    return Status::Ok();
+    return merged.result.Merge(partial->result);
   };
 
   // Recursive subtree walk over [lo, hi): chunks with the shared
@@ -196,7 +194,7 @@ Result<net::Message> HandleTreeMerge(CubrickServer* server,
           merged.epochs[i] = subtree->epochs[i - clo];
           merged.forward_hops[i] = subtree->forward_hops[i - clo];
         }
-        merged.result.Merge(subtree->result);
+        SCALEWALL_RETURN_IF_ERROR(merged.result.Merge(subtree->result));
       }
     }
     return Status::Ok();

@@ -1,6 +1,7 @@
 #include "cubrick/partition.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "cubrick/vec_scan.h"
 #include "exec/morsel.h"
@@ -87,6 +88,25 @@ bool PruneBrick(const TableSchema& schema, const PruningPlan& plan,
     }
   }
   return false;
+}
+
+// Zero-length spans for one scanned brick / morsel. Nothing is built
+// when tracing is off: on short bricks the span strings would cost a
+// noticeable share of the scan.
+void BrickSpan(const obs::TraceContext& trace, SimTime t, const Brick& brick) {
+  if (!trace.active()) return;
+  obs::TraceContext span = trace.Child("brick " + std::to_string(brick.id()), t);
+  span.Annotate("rows", std::to_string(brick.num_rows()));
+  span.End(t);
+}
+
+void MorselSpan(const obs::TraceContext& trace, SimTime t, size_t index,
+                const Brick& brick, const exec::MorselRange& m) {
+  if (!trace.active()) return;
+  obs::TraceContext span = trace.Child("morsel " + std::to_string(index), t);
+  span.Annotate("brick", std::to_string(brick.id()));
+  span.Annotate("rows", std::to_string(m.end - m.begin));
+  span.End(t);
 }
 
 }  // namespace
@@ -181,10 +201,7 @@ Status TablePartition::Execute(const Query& query, QueryResult& result,
                                    "/" + std::to_string(partition_));
         }
         Brick* brick = survivors[i];
-        obs::TraceContext bspan =
-            trace.Child("brick " + std::to_string(brick->id()), trace_time);
-        bspan.Annotate("rows", std::to_string(brick->num_rows()));
-        bspan.End(trace_time);
+        BrickSpan(trace, trace_time, *brick);
         brick->Touch();
         ++result.bricks_scanned;
         if (brick->CanSkipCompressed(plan)) {
@@ -202,109 +219,103 @@ Status TablePartition::Execute(const Query& query, QueryResult& result,
       vstate.Flush(result);
       return Status::Ok();
     }
+    // Interpreted serial scan: like the vectorized one, one set of group
+    // states accumulates across all bricks and is flushed once.
+    RowScanGroups groups(query.aggregations.size());
     for (size_t i = 0; i < survivors.size(); ++i) {
       if (cancel != nullptr && cancel->cancelled()) {
         if (metrics != nullptr) {
           metrics->skipped += static_cast<int64_t>(survivors.size() - i);
         }
+        groups.Flush(result);  // completed bricks
         return Status::Cancelled("partition scan cancelled: " + table_ +
                                  "/" + std::to_string(partition_));
       }
       Brick* brick = survivors[i];
-      obs::TraceContext bspan =
-          trace.Child("brick " + std::to_string(brick->id()), trace_time);
-      bspan.Annotate("rows", std::to_string(brick->num_rows()));
-      bspan.End(trace_time);
-      brick->Scan(schema_, query, result, &decompressions_, join);
+      BrickSpan(trace, trace_time, *brick);
+      brick->Touch();
+      ++result.bricks_scanned;
+      brick->ScanRange(query, groups, &decompressions_, join, 0,
+                       brick->num_rows());
+      result.rows_scanned += static_cast<int64_t>(brick->num_rows());
       if (metrics != nullptr) ++metrics->executed;
     }
+    groups.Flush(result);
     return Status::Ok();
   }
 
   // Morsel-driven parallel scan. The decomposition (survivor bricks in
-  // brick-id order, each split at fixed morsel_rows boundaries) and the
-  // merge order below are functions of the data and the query only, so
-  // the combined result is identical for any worker count and any
-  // scheduling — see DESIGN.md § Execution subsystem.
+  // brick-id order, each split at fixed morsel_rows boundaries, the
+  // morsels batched into tasks of up to morsel_rows rows) and the merge
+  // order below are functions of the data and the query only, so the
+  // combined result is identical for any worker count and any
+  // scheduling — see DESIGN.md § Execution subsystem. Each task
+  // accumulates its morsels, in order, into one set of group states and
+  // flushes them into its own partial.
   //
   // One hotness bump per brick per execution, exactly like the serial
-  // path — never one per morsel.
-  for (Brick* brick : survivors) brick->Touch();
-  if (vectorized) {
-    const VecScanPlan plan = BuildVecScanPlan(schema_, query, join);
+  // path — never one per morsel: a scanned brick is touched by the task
+  // holding its first morsel.
+  std::optional<VecScanPlan> scan_plan;
+  if (vectorized) scan_plan = BuildVecScanPlan(schema_, query, join);
+  std::vector<Brick*> scan_bricks;
+  std::vector<size_t> brick_rows;
+  scan_bricks.reserve(survivors.size());
+  brick_rows.reserve(survivors.size());
+  for (Brick* brick : survivors) {
     // RLE prefilter before the morsel split: bricks whose compressed
     // runs prove no row matches are accounted as scanned but never
     // decompressed and spawn no morsels. The decomposition is still a
     // pure function of data + query, so determinism is preserved.
-    std::vector<Brick*> scan_bricks;
-    scan_bricks.reserve(survivors.size());
-    for (Brick* brick : survivors) {
-      if (brick->CanSkipCompressed(plan)) {
-        result.rows_scanned += static_cast<int64_t>(brick->num_rows());
-        ++result.bricks_rle_skipped;
-      } else {
-        scan_bricks.push_back(brick);
-      }
+    if (vectorized && brick->CanSkipCompressed(*scan_plan)) {
+      brick->Touch();
+      result.rows_scanned += static_cast<int64_t>(brick->num_rows());
+      ++result.bricks_rle_skipped;
+      continue;
     }
-    std::vector<size_t> brick_rows(scan_bricks.size());
-    for (size_t i = 0; i < scan_bricks.size(); ++i) {
-      brick_rows[i] = scan_bricks[i]->num_rows();
-    }
-    const std::vector<exec::MorselRange> morsels =
-        exec::SplitMorsels(brick_rows, exec->morsel_rows);
-    std::vector<QueryResult> partials(
-        morsels.size(), QueryResult(query.aggregations.size()));
-    SCALEWALL_RETURN_IF_ERROR(exec::ForEachMorsel(
-        exec->pool, exec->num_workers, morsels.size(),
-        [&](size_t i) {
-          const exec::MorselRange& m = morsels[i];
-          obs::TraceContext mspan =
-              trace.Child("morsel " + std::to_string(i), trace_time);
-          mspan.Annotate("brick", std::to_string(scan_bricks[m.item]->id()));
-          mspan.Annotate("rows", std::to_string(m.end - m.begin));
-          mspan.End(trace_time);
-          // Per-morsel state, flushed into this morsel's partial: the
-          // partial holds exactly what the interpreted ScanRange would
-          // have accumulated, and the fixed-order merge below does the
-          // rest.
-          VecExecState vstate(plan);
-          scan_bricks[m.item]->ScanRangeVec(plan, vstate, &decompressions_,
-                                            m.begin, m.end);
-          vstate.Flush(partials[i]);
-        },
-        cancel, metrics, exec->sched_pool));
-    for (const QueryResult& partial : partials) {
-      result.Merge(partial);
-    }
-    result.bricks_scanned += static_cast<int64_t>(survivors.size());
-    return Status::Ok();
-  }
-  std::vector<size_t> brick_rows(survivors.size());
-  for (size_t i = 0; i < survivors.size(); ++i) {
-    brick_rows[i] = survivors[i]->num_rows();
+    scan_bricks.push_back(brick);
+    brick_rows.push_back(brick->num_rows());
   }
   const std::vector<exec::MorselRange> morsels =
       exec::SplitMorsels(brick_rows, exec->morsel_rows);
-  std::vector<QueryResult> partials(morsels.size(),
+  const std::vector<size_t> tasks =
+      exec::BatchMorsels(morsels, exec->morsel_rows);
+  const size_t num_tasks = tasks.size() - 1;
+  std::vector<QueryResult> partials(num_tasks,
                                     QueryResult(query.aggregations.size()));
   SCALEWALL_RETURN_IF_ERROR(exec::ForEachMorsel(
-      exec->pool, exec->num_workers, morsels.size(),
-      [&](size_t i) {
-        const exec::MorselRange& m = morsels[i];
+      exec->pool, exec->num_workers, num_tasks,
+      [&](size_t t) {
         // Morsel spans are recorded from pool workers concurrently; the
         // sink serializes writes and exports canonicalize the order, so
         // the trace stays byte-stable regardless of scheduling.
-        obs::TraceContext mspan =
-            trace.Child("morsel " + std::to_string(i), trace_time);
-        mspan.Annotate("brick", std::to_string(survivors[m.item]->id()));
-        mspan.Annotate("rows", std::to_string(m.end - m.begin));
-        mspan.End(trace_time);
-        survivors[m.item]->ScanRange(schema_, query, partials[i],
-                                     &decompressions_, join, m.begin, m.end);
+        if (vectorized) {
+          VecExecState vstate(*scan_plan);
+          for (size_t i = tasks[t]; i < tasks[t + 1]; ++i) {
+            const exec::MorselRange& m = morsels[i];
+            MorselSpan(trace, trace_time, i, *scan_bricks[m.item], m);
+            if (m.begin == 0) scan_bricks[m.item]->Touch();
+            scan_bricks[m.item]->ScanRangeVec(*scan_plan, vstate,
+                                              &decompressions_, m.begin,
+                                              m.end);
+          }
+          vstate.Flush(partials[t]);
+          return;
+        }
+        RowScanGroups groups(query.aggregations.size());
+        for (size_t i = tasks[t]; i < tasks[t + 1]; ++i) {
+          const exec::MorselRange& m = morsels[i];
+          MorselSpan(trace, trace_time, i, *scan_bricks[m.item], m);
+          if (m.begin == 0) scan_bricks[m.item]->Touch();
+          scan_bricks[m.item]->ScanRange(query, groups, &decompressions_,
+                                         join, m.begin, m.end);
+          partials[t].rows_scanned += static_cast<int64_t>(m.end - m.begin);
+        }
+        groups.Flush(partials[t]);
       },
       cancel, metrics, exec->sched_pool));
   for (const QueryResult& partial : partials) {
-    result.Merge(partial);
+    SCALEWALL_RETURN_IF_ERROR(result.Merge(partial));
   }
   result.bricks_scanned += static_cast<int64_t>(survivors.size());
   return Status::Ok();

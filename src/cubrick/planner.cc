@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "cubrick/coordinator.h"
+#include "cubrick/vec_scan.h"
 
 namespace scalewall::cubrick {
 
@@ -190,7 +191,7 @@ Query MakeShuffleScanQuery(const Query& query) {
   return stage1;
 }
 
-uint32_t ShuffleBucket(const QueryResult::GroupKey& key, size_t num_join_keys,
+uint32_t ShuffleBucket(GroupKeyView key, size_t num_join_keys,
                        uint32_t num_buckets) {
   if (num_buckets <= 1) return 0;
   // FNV-1a over the raw join-key values (the trailing num_join_keys
@@ -208,6 +209,20 @@ uint32_t ShuffleBucket(const QueryResult::GroupKey& key, size_t num_join_keys,
   return static_cast<uint32_t>(h % num_buckets);
 }
 
+std::map<uint32_t, QueryResult> SplitShuffleBuckets(const QueryResult& scanned,
+                                                    size_t num_join_keys,
+                                                    uint32_t num_buckets) {
+  std::map<uint32_t, QueryResult> buckets;
+  for (const auto& [key, states] : scanned.groups()) {
+    auto [it, inserted] = buckets.try_emplace(
+        ShuffleBucket(key, num_join_keys, num_buckets),
+        scanned.num_aggregations());
+    // Ascending keys stay ascending within a bucket: each is an append.
+    it->second.MergeSortedGroups(1, key.size(), key.data(), states.data());
+  }
+  return buckets;
+}
+
 Result<QueryResult> ApplyShuffleMapping(const Query& query,
                                         const JoinContext& dims,
                                         const QueryResult& bucket) {
@@ -223,7 +238,11 @@ Result<QueryResult> ApplyShuffleMapping(const Query& query,
   }
   const size_t plain = query.group_by.size();
   const size_t raw = query.joins.size();
-  QueryResult mapped(query.aggregations.size());
+  const size_t num_aggs = query.aggregations.size();
+  // Mapping rekeys groups out of key order: fold them by hash, in the
+  // bucket's order, then emit sorted once.
+  HashedGroups mapped(plain + query.group_by_joins.size(), num_aggs);
+  std::vector<uint32_t> out_key;
   for (const auto& [key, states] : bucket.groups()) {
     if (key.size() != plain + raw) {
       return Status::InvalidArgument(
@@ -247,7 +266,7 @@ Result<QueryResult> ApplyShuffleMapping(const Query& query,
     // ... and group_by_joins drop unset keys, appending the attribute
     // after the plain dimensions. Joins referenced by neither drop
     // nothing.
-    QueryResult::GroupKey out_key(key.begin(), key.begin() + plain);
+    out_key.assign(key.begin(), key.begin() + plain);
     for (int g : query.group_by_joins) {
       if (g < 0 || g >= static_cast<int>(raw)) {
         return Status::InvalidArgument("shuffle mapping: group_by_join index");
@@ -261,11 +280,16 @@ Result<QueryResult> ApplyShuffleMapping(const Query& query,
       out_key.push_back(attr);
     }
     if (dropped) continue;
-    for (size_t a = 0; a < states.size(); ++a) {
-      mapped.AccumulateState(out_key, a, states[a]);
+    if (states.size() != num_aggs) {
+      return Status::InvalidArgument(
+          "shuffle mapping: stage-1 group has the wrong state count");
     }
+    AggState* into = mapped.StatesFor(out_key.data());
+    for (size_t a = 0; a < num_aggs; ++a) into[a].Merge(states[a]);
   }
-  return mapped;
+  QueryResult result(num_aggs);
+  mapped.Flush(result);
+  return result;
 }
 
 }  // namespace scalewall::cubrick

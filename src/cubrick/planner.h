@@ -36,6 +36,7 @@
 #define SCALEWALL_CUBRICK_PLANNER_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -193,8 +194,14 @@ Query MakeShuffleScanQuery(const Query& query);
 // Deterministic stage-2 bucket of one stage-1 group key: FNV-1a over
 // the trailing `num_join_keys` raw key values. Identical across
 // processes and platforms by construction (no std::hash).
-uint32_t ShuffleBucket(const QueryResult::GroupKey& key, size_t num_join_keys,
+uint32_t ShuffleBucket(GroupKeyView key, size_t num_join_keys,
                        uint32_t num_buckets);
+
+// Stage-1 groups split by ShuffleBucket, keyed by bucket id; each bucket
+// keeps the groups' key order and states verbatim.
+std::map<uint32_t, QueryResult> SplitShuffleBuckets(const QueryResult& scanned,
+                                                    size_t num_join_keys,
+                                                    uint32_t num_buckets);
 
 // Stage 2: maps one bucket of stage-1 groups through the dimension
 // tables, reproducing exactly the replicated scan's join semantics —

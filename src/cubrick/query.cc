@@ -1,6 +1,7 @@
 #include "cubrick/query.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace scalewall::cubrick {
@@ -90,19 +91,18 @@ Status Query::Validate(const TableSchema& schema) const {
 
 std::vector<ResultRow> MaterializeRows(const QueryResult& result,
                                        const Query& query) {
-  std::vector<ResultRow> rows;
-  rows.reserve(result.num_groups());
+  std::vector<ResultRow> rows(result.num_groups());
+  const size_t num_aggs = query.aggregations.size();
+  size_t i = 0;
   for (const auto& [key, states] : result.groups()) {
-    ResultRow row;
-    row.key = key;
-    row.values.reserve(query.aggregations.size());
-    for (size_t a = 0; a < query.aggregations.size(); ++a) {
-      double v = a < states.size()
-                     ? states[a].Finalize(query.aggregations[a].op)
-                     : 0.0;
-      row.values.push_back(v);
+    ResultRow& row = rows[i++];
+    row.key.assign(key.begin(), key.end());
+    row.values.resize(num_aggs);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      row.values[a] = a < states.size()
+                          ? states[a].Finalize(query.aggregations[a].op)
+                          : 0.0;
     }
-    rows.push_back(std::move(row));
   }
   if (query.order_by >= 0) {
     size_t agg = static_cast<size_t>(query.order_by);
@@ -174,31 +174,169 @@ std::string CanonicalQueryFingerprint(const Query& query) {
 }
 
 size_t ApproxResultBytes(const QueryResult& result) {
-  size_t bytes = sizeof(QueryResult);
-  for (const auto& [key, states] : result.groups()) {
-    // Map node + key vector + AggState vector, plus allocator overhead.
-    bytes += 64 + key.size() * sizeof(uint32_t) +
-             states.size() * sizeof(AggState);
-  }
-  return bytes;
+  // Plus the allocator's header on each of the table's two blocks.
+  return sizeof(QueryResult) + result.groups().HeapBytes() + 32;
 }
 
-void QueryResult::Merge(const QueryResult& other) {
-  if (num_aggregations_ == 0) num_aggregations_ = other.num_aggregations_;
-  for (const auto& [key, states] : other.groups_) {
-    auto& mine = groups_[key];
-    if (mine.size() < states.size()) mine.resize(states.size());
-    for (size_t i = 0; i < states.size(); ++i) {
-      mine[i].Merge(states[i]);
+GroupTable::Iterator GroupTable::find(GroupKeyView probe) const {
+  const size_t row = LowerBound(0, probe);
+  if (row < num_rows_ && key(row) == probe) return Iterator(this, row);
+  return end();
+}
+
+size_t GroupTable::LowerBound(size_t from, GroupKeyView probe) const {
+  // Gallop: rows before `lo` are known to be less than the probe; `hi`
+  // is the first row found not less (or the end).
+  size_t lo = from;
+  size_t hi = from;
+  size_t step = 1;
+  while (hi < num_rows_ && key(hi) < probe) {
+    lo = hi + 1;
+    hi += step;
+    step <<= 1;
+  }
+  hi = std::min(hi, num_rows_);
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (key(mid) < probe) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
   }
+  return lo;
+}
+
+AggState* GroupTable::FindOrInsert(GroupKeyView probe) {
+  if (num_rows_ == 0) arity_ = probe.size();
+  assert(probe.size() == arity_ && "group keys of one table share an arity");
+  size_t row = num_rows_;
+  if (num_rows_ > 0 && !(key(num_rows_ - 1) < probe)) {
+    row = LowerBound(0, probe);
+    if (key(row) == probe) return states_.data() + row * num_aggs_;
+  }
+  keys_.insert(keys_.begin() + static_cast<std::ptrdiff_t>(row * arity_),
+               probe.begin(), probe.end());
+  states_.insert(states_.begin() + static_cast<std::ptrdiff_t>(row * num_aggs_),
+                 num_aggs_, AggState{});
+  ++num_rows_;
+  return states_.data() + row * num_aggs_;
+}
+
+void GroupTable::MergeSorted(size_t n, size_t arity, const uint32_t* keys,
+                             const AggState* states) {
+  if (n == 0) return;
+  if (num_rows_ == 0) arity_ = arity;
+  assert(arity == arity_ && "group keys of one table share an arity");
+  const size_t na = num_aggs_;
+  auto in_key = [&](size_t i) { return GroupKeyView(keys + i * arity, arity); };
+  auto fold = [na](AggState* into, const AggState* from) {
+    for (size_t a = 0; a < na; ++a) into[a].Merge(from[a]);
+  };
+  // Every incoming key after the last one present: append.
+  if (num_rows_ == 0 || key(num_rows_ - 1) < in_key(0)) {
+    keys_.insert(keys_.end(), keys, keys + n * arity);
+    states_.resize((num_rows_ + n) * na);
+    for (size_t i = 0; i < n; ++i) {
+      fold(states_.data() + (num_rows_ + i) * na, states + i * na);
+    }
+    num_rows_ += n;
+    return;
+  }
+  // Fold the groups already present in place; collect the new ones.
+  std::vector<size_t> fresh;
+  size_t row = 0;
+  for (size_t i = 0; i < n; ++i) {
+    // Same key sets (partials of one query) match row after row.
+    const uint32_t* k = keys + i * arity;
+    if (row >= num_rows_ ||
+        !std::equal(k, k + arity, keys_.data() + row * arity)) {
+      row = LowerBound(row, in_key(i));
+    }
+    if (row < num_rows_ &&
+        std::equal(k, k + arity, keys_.data() + row * arity)) {
+      fold(states_.data() + row * na, states + i * na);
+      ++row;
+    } else {
+      fresh.push_back(i);
+    }
+  }
+  if (fresh.empty()) return;
+  // Interleave the new groups with the present ones, in key order.
+  const size_t total = num_rows_ + fresh.size();
+  std::vector<uint32_t> merged_keys;
+  std::vector<AggState> merged_states(total * na);
+  merged_keys.reserve(total * arity);
+  size_t r = 0;
+  size_t out = 0;
+  for (size_t f = 0; f <= fresh.size(); ++f) {
+    const size_t stop =
+        f < fresh.size() ? LowerBound(r, in_key(fresh[f])) : num_rows_;
+    merged_keys.insert(merged_keys.end(), keys_.begin() + r * arity,
+                       keys_.begin() + stop * arity);
+    std::copy(states_.begin() + r * na, states_.begin() + stop * na,
+              merged_states.begin() + out * na);
+    out += stop - r;
+    r = stop;
+    if (f == fresh.size()) break;
+    const GroupKeyView k = in_key(fresh[f]);
+    merged_keys.insert(merged_keys.end(), k.begin(), k.end());
+    fold(merged_states.data() + out * na, states + fresh[f] * na);
+    ++out;
+  }
+  keys_ = std::move(merged_keys);
+  states_ = std::move(merged_states);
+  num_rows_ = total;
+}
+
+void GroupTable::MergeSorted(size_t arity, std::vector<uint32_t>&& keys,
+                             std::vector<AggState>&& states) {
+  if (num_rows_ != 0 || states.empty() || num_aggs_ == 0) {
+    const size_t n = num_aggs_ == 0 ? 0 : states.size() / num_aggs_;
+    MergeSorted(n, arity, keys.data(), states.data());
+    return;
+  }
+  assert(states.size() % num_aggs_ == 0);
+  arity_ = arity;
+  num_rows_ = states.size() / num_aggs_;
+  keys_ = std::move(keys);
+  states_ = std::move(states);
+}
+
+void GroupTable::Merge(const GroupTable& other) {
+  if (&other == this) {
+    const GroupTable copy = other;
+    Merge(copy);
+    return;
+  }
+  if (num_aggs_ == 0 && num_rows_ == 0) num_aggs_ = other.num_aggs_;
+  assert(other.empty() || other.num_aggs_ == num_aggs_);
+  MergeSorted(other.num_rows_, other.arity_, other.keys_.data(),
+              other.states_.data());
+}
+
+Status QueryResult::Merge(const QueryResult& other) {
+  const bool arity_differs =
+      !groups_.empty() && groups_.arity() != other.groups_.arity();
+  const bool aggs_differ = num_aggregations() != 0 &&
+                           num_aggregations() != other.num_aggregations();
+  if (!other.groups_.empty() && (arity_differs || aggs_differ)) {
+    return Status::InvalidArgument(
+        "malformed partial result: " + std::to_string(other.num_groups()) +
+        " groups of arity " + std::to_string(other.groups_.arity()) +
+        " with " + std::to_string(other.num_aggregations()) +
+        " aggregations, expected arity " + std::to_string(groups_.arity()) +
+        " with " + std::to_string(num_aggregations()));
+  }
+  groups_.Merge(other.groups_);
   rows_scanned += other.rows_scanned;
   bricks_scanned += other.bricks_scanned;
   bricks_pruned += other.bricks_pruned;
   bricks_rle_skipped += other.bricks_rle_skipped;
+  return Status::Ok();
 }
 
-Result<double> QueryResult::Value(const GroupKey& key, size_t agg,
+Result<double> QueryResult::Value(GroupKeyView key, size_t agg,
                                   AggOp op) const {
   auto it = groups_.find(key);
   if (it == groups_.end()) {

@@ -1,12 +1,96 @@
 #include "cubrick/vec_scan.h"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 #include "cubrick/brick.h"
 #include "cubrick/codec.h"
 #include "vec/agg.h"
 
 namespace scalewall::cubrick {
+
+namespace {
+
+// Emits the slots in `order` (ascending key order) into `result`:
+// key_of(slot, out) writes a slot's key.
+template <typename KeyOf>
+void FlushSlots(const std::vector<uint32_t>& order, size_t arity,
+                size_t naggs, const std::vector<AggState>& states,
+                KeyOf key_of, QueryResult& result) {
+  std::vector<uint32_t> keys(order.size() * arity);
+  std::vector<AggState> sorted(order.size() * naggs);
+  for (size_t i = 0; i < order.size(); ++i) {
+    key_of(order[i], keys.data() + i * arity);
+    std::copy_n(states.begin() + static_cast<size_t>(order[i]) * naggs,
+                naggs, sorted.begin() + i * naggs);
+  }
+  result.MergeSortedGroups(arity, std::move(keys), std::move(sorted));
+}
+
+// The index's slots in ascending key order.
+std::vector<uint32_t> SlotsByKey(const vec::GroupKeyIndex& index) {
+  std::vector<uint32_t> order(index.num_slots());
+  std::iota(order.begin(), order.end(), 0u);
+  const size_t arity = index.arity();
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return GroupKeyView(index.KeyAt(a), arity) <
+           GroupKeyView(index.KeyAt(b), arity);
+  });
+  return order;
+}
+
+void FlushHashed(const vec::GroupKeyIndex& index,
+                 const std::vector<AggState>& states, size_t naggs,
+                 QueryResult& result) {
+  const size_t arity = index.arity();
+  FlushSlots(SlotsByKey(index), arity, naggs, states,
+             [&](uint32_t slot, uint32_t* key) {
+               std::copy_n(index.KeyAt(slot), arity, key);
+             },
+             result);
+}
+
+// Adds every group column's mixed-radix digit for the selected rows
+// into `slots` (direct slots or packed keys, zeroed by the caller).
+template <typename Slot>
+void MixedRadix(const VecScanPlan& plan, const VecExecState& st,
+                const std::vector<std::vector<uint32_t>>& dims,
+                const uint32_t* rows, size_t n, Slot* slots) {
+  const size_t ndims = plan.group_dims.size();
+  for (size_t g = 0; g < ndims; ++g) {
+    vec::SlotAccumulate(dims[plan.group_dims[g]].data(), rows, n,
+                        plan.layout.strides[g], slots);
+  }
+  for (size_t g = 0; g < plan.group_joins.size(); ++g) {
+    vec::SlotAccumulateGathered(st.gathered[g].data(), n,
+                                plan.layout.strides[ndims + g], slots);
+  }
+}
+
+// Maps the chunk's packed keys to dense slots, growing the state array
+// to cover any new ones.
+void AssignPackedSlots(VecExecState& st, size_t n) {
+  st.slots.resize(n);
+  st.packed->Assign(st.packed_keys.data(), n, st.slots.data());
+  const size_t needed = st.packed->num_slots() * st.plan->aggs.size();
+  if (st.states.size() < needed) st.states.resize(needed);
+}
+
+}  // namespace
+
+HashedGroups::HashedGroups(size_t arity, size_t num_aggs)
+    : index(arity), num_aggs(num_aggs) {}
+
+AggState* HashedGroups::StatesFor(const uint32_t* key) {
+  const size_t base = static_cast<size_t>(index.SlotFor(key)) * num_aggs;
+  if (states.size() < base + num_aggs) states.resize(base + num_aggs);
+  return states.data() + base;
+}
+
+void HashedGroups::Flush(QueryResult& result) const {
+  FlushHashed(index, states, num_aggs, result);
+}
 
 VecScanPlan BuildVecScanPlan(const TableSchema& schema, const Query& query,
                              const JoinContext* join) {
@@ -66,9 +150,13 @@ VecScanPlan BuildVecScanPlan(const TableSchema& schema, const Query& query,
     cards.push_back(valid ? attrs[static_cast<size_t>(j.attribute)].cardinality
                           : 1);
   }
-  plan.mode = plan.direct.Build(cards, VecScanPlan::kMaxDirectSlots)
-                  ? VecScanPlan::GroupMode::kDirect
-                  : VecScanPlan::GroupMode::kHash;
+  if (!plan.layout.Build(cards, UINT64_MAX)) {
+    plan.mode = VecScanPlan::GroupMode::kHash;
+  } else if (plan.layout.total_slots <= VecScanPlan::kMaxDirectSlots) {
+    plan.mode = VecScanPlan::GroupMode::kDirect;
+  } else {
+    plan.mode = VecScanPlan::GroupMode::kPacked;
+  }
   return plan;
 }
 
@@ -79,11 +167,14 @@ VecExecState::VecExecState(const VecScanPlan& p)
       states.resize(p.aggs.size());
       break;
     case VecScanPlan::GroupMode::kDirect:
-      states.resize(static_cast<size_t>(p.direct.total_slots) *
+      states.resize(static_cast<size_t>(p.layout.total_slots) *
                     p.aggs.size());
       break;
+    case VecScanPlan::GroupMode::kPacked:
+      packed.emplace(p.layout.total_slots);
+      break;  // states grow with the slot map
     case VecScanPlan::GroupMode::kHash:
-      break;  // grows with the key index
+      break;  // states grow with the key index
   }
   gathered.resize(p.group_joins.size());
   key_scratch.resize(p.key_arity);
@@ -91,42 +182,44 @@ VecExecState::VecExecState(const VecScanPlan& p)
 
 void VecExecState::Flush(QueryResult& result) const {
   const size_t naggs = plan->aggs.size();
+  const size_t arity = plan->key_arity;
+  const vec::DirectLayout& layout = plan->layout;
   switch (plan->mode) {
-    case VecScanPlan::GroupMode::kGlobal: {
+    case VecScanPlan::GroupMode::kGlobal:
       // Every aggregation sees every surviving row, so agg 0's count
       // tells whether the (single, empty-keyed) group exists at all.
       if (!states.empty() && states[0].count > 0) {
-        const QueryResult::GroupKey key;
-        for (size_t a = 0; a < naggs; ++a) {
-          result.AccumulateState(key, a, states[a]);
-        }
+        result.MergeSortedGroups(1, 0, nullptr, states.data());
       }
       break;
-    }
     case VecScanPlan::GroupMode::kDirect: {
-      QueryResult::GroupKey key(plan->key_arity);
-      for (uint64_t slot = 0; slot < plan->direct.total_slots; ++slot) {
-        const size_t base = static_cast<size_t>(slot) * naggs;
-        if (states[base].count == 0) continue;
-        plan->direct.DecodeSlot(slot, key.data());
-        for (size_t a = 0; a < naggs; ++a) {
-          result.AccumulateState(key, a, states[base + a]);
+      // Slot order is key order; skip the slots no row reached.
+      std::vector<uint32_t> order;
+      for (uint64_t slot = 0; slot < layout.total_slots; ++slot) {
+        if (states[static_cast<size_t>(slot) * naggs].count != 0) {
+          order.push_back(static_cast<uint32_t>(slot));
         }
       }
+      FlushSlots(order, arity, naggs, states,
+                 [&](uint32_t slot, uint32_t* key) {
+                   layout.DecodeSlot(slot, key);
+                 },
+                 result);
       break;
     }
-    case VecScanPlan::GroupMode::kHash: {
-      QueryResult::GroupKey key(plan->key_arity);
-      for (size_t slot = 0; slot < hash.num_slots(); ++slot) {
-        const uint32_t* flat = hash.KeyAt(static_cast<uint32_t>(slot));
-        key.assign(flat, flat + plan->key_arity);
-        const size_t base = slot * naggs;
-        for (size_t a = 0; a < naggs; ++a) {
-          result.AccumulateState(key, a, states[base + a]);
-        }
-      }
+    case VecScanPlan::GroupMode::kPacked: {
+      // Packed-key order is key order: order integers, then decode.
+      const std::vector<uint64_t>& keys = packed->keys();
+      FlushSlots(packed->SlotsByKey(), arity, naggs, states,
+                 [&](uint32_t slot, uint32_t* key) {
+                   layout.DecodeSlot(keys[slot], key);
+                 },
+                 result);
       break;
     }
+    case VecScanPlan::GroupMode::kHash:
+      FlushHashed(hash, states, naggs, result);
+      break;
   }
   result.rows_scanned += rows_scanned;
 }
@@ -175,30 +268,42 @@ void Brick::ScanRangeVec(const VecScanPlan& plan, VecExecState& st,
                     metrics_[spec.metric].data());
               }
             }
-          } else {
-            st.slots.assign(dense_n, 0);
-            for (size_t g = 0; g < plan.group_dims.size(); ++g) {
-              vec::SlotAccumulateDense(dims_[plan.group_dims[g]].data(), b,
-                                       dense_n, plan.direct.strides[g],
-                                       st.slots.data());
-            }
-            for (size_t a = 0; a < naggs; ++a) {
-              const VecScanPlan::AggSpec& spec = plan.aggs[a];
-              if (spec.is_count) {
-                vec::AccumulateConst(st.states.data(), naggs, a,
-                                     st.slots.data(), dense_n, 1.0);
-              } else {
-                vec::AccumulateColumnDense(st.states.data(), naggs, a,
-                                           st.slots.data(), b, dense_n,
-                                           metrics_[spec.metric].data());
-              }
-            }
+            continue;
           }
-          continue;
+          st.slots.assign(dense_n, 0);
+          for (size_t g = 0; g < plan.group_dims.size(); ++g) {
+            vec::SlotAccumulateDense(dims_[plan.group_dims[g]].data(), b,
+                                     dense_n, plan.layout.strides[g],
+                                     st.slots.data());
+          }
+          break;
+        case VecScanPlan::GroupMode::kPacked:
+          st.packed_keys.assign(dense_n, 0);
+          for (size_t g = 0; g < plan.group_dims.size(); ++g) {
+            vec::SlotAccumulateDense(dims_[plan.group_dims[g]].data(), b,
+                                     dense_n, plan.layout.strides[g],
+                                     st.packed_keys.data());
+          }
+          AssignPackedSlots(st, dense_n);
+          break;
         case VecScanPlan::GroupMode::kHash:
           // Hash grouping stays scalar over the key assembly; fall
           // through to the selected path with an identity selection.
           break;
+      }
+      if (plan.mode != VecScanPlan::GroupMode::kHash) {
+        for (size_t a = 0; a < naggs; ++a) {
+          const VecScanPlan::AggSpec& spec = plan.aggs[a];
+          if (spec.is_count) {
+            vec::AccumulateConst(st.states.data(), naggs, a, st.slots.data(),
+                                 dense_n, 1.0);
+          } else {
+            vec::AccumulateColumnDense(st.states.data(), naggs, a,
+                                       st.slots.data(), b, dense_n,
+                                       metrics_[spec.metric].data());
+          }
+        }
+        continue;
       }
     }
 
@@ -259,16 +364,11 @@ void Brick::ScanRangeVec(const VecScanPlan& plan, VecExecState& st,
 
     if (plan.mode == VecScanPlan::GroupMode::kDirect) {
       st.slots.assign(n, 0);
-      for (size_t g = 0; g < plan.group_dims.size(); ++g) {
-        vec::SlotAccumulate(dims_[plan.group_dims[g]].data(), sel.data(), n,
-                            plan.direct.strides[g], st.slots.data());
-      }
-      for (size_t g = 0; g < plan.group_joins.size(); ++g) {
-        vec::SlotAccumulateGathered(
-            st.gathered[g].data(), n,
-            plan.direct.strides[plan.group_dims.size() + g],
-            st.slots.data());
-      }
+      MixedRadix(plan, st, dims_, sel.data(), n, st.slots.data());
+    } else if (plan.mode == VecScanPlan::GroupMode::kPacked) {
+      st.packed_keys.assign(n, 0);
+      MixedRadix(plan, st, dims_, sel.data(), n, st.packed_keys.data());
+      AssignPackedSlots(st, n);
     } else {  // kHash
       st.slots.resize(n);
       const size_t ndims = plan.group_dims.size();

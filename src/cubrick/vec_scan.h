@@ -12,15 +12,22 @@
 //   * kDirect: the product of group-column cardinalities fits
 //     kMaxDirectSlots — the slot is the mixed-radix number of the group
 //     values (no hashing, no key storage);
-//   * kHash: otherwise — an open-addressing index assigns dense slots.
+//   * kPacked: the product fits in 64 bits — the same mixed-radix number
+//     is a packed key, computed by the same column kernels and mapped to
+//     a dense first-seen slot by a vec::PackedSlotMap (remap array or
+//     integer hash; no per-row key assembly, no key memcmp);
+//   * kHash: otherwise — a vec::GroupKeyIndex over the assembled keys
+//     assigns dense slots.
 // A VecExecState accumulates any number of ScanRangeVec calls and is
-// flushed into a QueryResult at the end (QueryResult::AccumulateState),
-// reproducing the interpreter's per-group Add() sequences bit-for-bit.
+// flushed into a QueryResult at the end, in ascending key order
+// (QueryResult::MergeSortedGroups), reproducing the interpreter's
+// per-group Add() sequences bit-for-bit.
 
 #ifndef SCALEWALL_CUBRICK_VEC_SCAN_H_
 #define SCALEWALL_CUBRICK_VEC_SCAN_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "cubrick/query.h"
@@ -33,9 +40,9 @@
 namespace scalewall::cubrick {
 
 struct VecScanPlan {
-  // Direct (mixed-radix) grouping is capped so per-morsel dense state
-  // arrays stay cheap to allocate and cache-resident; larger group
-  // spaces fall back to hashed slots.
+  // Direct (mixed-radix) grouping is capped so dense state arrays stay
+  // cheap to allocate and cache-resident; larger key spaces that still
+  // pack into 64 bits use kPacked.
   static constexpr uint64_t kMaxDirectSlots = 4096;
   // Rows per processing chunk: selection vectors and slot arrays for one
   // chunk fit comfortably in L2.
@@ -70,7 +77,7 @@ struct VecScanPlan {
     bool is_count;  // COUNT accumulates the constant 1.0
   };
 
-  enum class GroupMode { kGlobal, kDirect, kHash };
+  enum class GroupMode { kGlobal, kDirect, kPacked, kHash };
 
   std::vector<RangeF> ranges;
   std::vector<InF> ins;
@@ -80,7 +87,7 @@ struct VecScanPlan {
   std::vector<AggSpec> aggs;
 
   GroupMode mode = GroupMode::kGlobal;
-  vec::DirectLayout direct;  // valid in kDirect mode
+  vec::DirectLayout layout;  // mixed-radix layout, kDirect and kPacked
   // Group-key arity: group_dims then group_joins, the interpreter's key
   // layout.
   size_t key_arity = 0;
@@ -97,29 +104,50 @@ struct VecScanPlan {
 VecScanPlan BuildVecScanPlan(const TableSchema& schema, const Query& query,
                              const JoinContext* join);
 
+// Group states in slots assigned in first-seen order by a
+// vec::GroupKeyIndex, for keys that arrive in any order: the shuffle
+// join's stage 2 rekeys groups into one (ApplyShuffleMapping). Flush
+// sorts the slots by key once.
+struct HashedGroups {
+  HashedGroups(size_t arity, size_t num_aggs);
+
+  // The num_aggs states of `key` (arity values), created on first use.
+  AggState* StatesFor(const uint32_t* key);
+  // Emits every group into `result` in ascending key order.
+  void Flush(QueryResult& result) const;
+
+  vec::GroupKeyIndex index;
+  std::vector<AggState> states;  // slot-major, num_aggs per slot
+  size_t num_aggs;
+};
+
 // Accumulation state + scratch buffers for one scan stream (one serial
 // partition pass, or one morsel). Feed any number of ScanRangeVec calls,
-// then Flush once.
+// then Flush once. Build, use and destroy it on one thread (kPacked
+// borrows the thread's remap scratch).
 struct VecExecState {
   explicit VecExecState(const VecScanPlan& plan);
 
   const VecScanPlan* plan;
   // Slot-major state array: states[slot * num_aggs + agg]. One row in
-  // kGlobal mode; direct.total_slots rows in kDirect; grows with the
-  // hash index in kHash.
+  // kGlobal mode; layout.total_slots rows in kDirect; grows with the
+  // slot map in kPacked and kHash.
   std::vector<AggState> states;
-  vec::GroupKeyIndex hash;
+  std::optional<vec::PackedSlotMap> packed;  // kPacked
+  vec::GroupKeyIndex hash;                   // kHash
   int64_t rows_scanned = 0;
 
   // Per-chunk scratch (reused across chunks and bricks).
   vec::SelVec sel;
   std::vector<uint32_t> slots;
+  std::vector<uint64_t> packed_keys;            // kPacked
   std::vector<std::vector<uint32_t>> gathered;  // one per group_join
   std::vector<uint32_t> key_scratch;
 
-  // Emits every populated group into `result` (skipping untouched direct
-  // slots — the interpreter only creates groups a surviving row reached)
-  // and adds rows_scanned. Call exactly once per state.
+  // Emits every populated group into `result` in ascending key order
+  // (skipping untouched direct slots — the interpreter only creates
+  // groups a surviving row reached) and adds rows_scanned. Call exactly
+  // once per state.
   void Flush(QueryResult& result) const;
 };
 

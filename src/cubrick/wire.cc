@@ -1,5 +1,6 @@
 #include "cubrick/wire.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace scalewall::cubrick::wire {
@@ -144,10 +145,11 @@ void EncodeQueryResult(net::WireWriter& w, const QueryResult& result) {
   w.I64(result.bricks_pruned);
   w.I64(result.bricks_rle_skipped);
   w.U32(static_cast<uint32_t>(result.num_groups()));
-  // groups() is a sorted map: iteration (and thus the byte stream) is
-  // deterministic, and decode re-inserts in the same order.
+  // groups() iterates in key order: the byte stream is deterministic,
+  // and decode re-inserts in the same order.
   for (const auto& [key, states] : result.groups()) {
-    w.U32Vec(key);
+    w.U32(static_cast<uint32_t>(key.size()));
+    for (uint32_t v : key) w.U32(v);
     w.U32(static_cast<uint32_t>(states.size()));
     for (const AggState& s : states) {
       w.F64(s.sum);
@@ -160,16 +162,37 @@ void EncodeQueryResult(net::WireWriter& w, const QueryResult& result) {
 
 Result<QueryResult> DecodeQueryResult(net::WireReader& r) {
   const uint32_t num_aggs = r.U32();
-  QueryResult result(num_aggs);
-  result.rows_scanned = r.I64();
-  result.bricks_scanned = r.I64();
-  result.bricks_pruned = r.I64();
-  result.bricks_rle_skipped = r.I64();
+  const int64_t rows_scanned = r.I64();
+  const int64_t bricks_scanned = r.I64();
+  const int64_t bricks_pruned = r.I64();
+  const int64_t bricks_rle_skipped = r.I64();
   const uint32_t num_groups = r.U32();
   if (!r.CheckCount(num_groups, 8)) return Malformed("result groups");
+  // The encoder writes one table: every group carries num_aggs states
+  // and a key of one arity, in strictly ascending key order. A peer's
+  // counts are checked against that before anything is sized by them.
+  uint32_t arity = 0;
+  std::vector<uint32_t> keys;
+  std::vector<AggState> states;
   for (uint32_t g = 0; g < num_groups; ++g) {
-    QueryResult::GroupKey key = r.U32Vec();
+    const uint32_t key_size = r.U32();
+    if (!r.CheckCount(key_size, 4)) return Malformed("result key");
+    if (g == 0) {
+      arity = key_size;
+      // Every key value still to come is 4 payload bytes.
+      keys.reserve(std::min<uint64_t>(uint64_t{num_groups} * arity,
+                                      r.remaining() / 4));
+    } else if (key_size != arity) {
+      return Malformed("result key arity varies");
+    }
+    const size_t at = keys.size();
+    for (uint32_t k = 0; k < key_size; ++k) keys.push_back(r.U32());
+    if (g > 0 && !(GroupKeyView(keys.data() + at - arity, arity) <
+                   GroupKeyView(keys.data() + at, arity))) {
+      return Malformed("result groups out of key order");
+    }
     const uint32_t num_states = r.U32();
+    if (num_states != num_aggs) return Malformed("result state count");
     if (!r.CheckCount(num_states, 32)) return Malformed("result states");
     for (uint32_t a = 0; a < num_states; ++a) {
       AggState state;
@@ -177,12 +200,19 @@ Result<QueryResult> DecodeQueryResult(net::WireReader& r) {
       state.count = r.I64();
       state.min = r.F64();
       state.max = r.F64();
-      // Merging into the freshly created default state reproduces the
-      // encoded state bit-for-bit (see QueryResult::AccumulateState).
-      result.AccumulateState(key, a, state);
+      states.push_back(state);
     }
+    if (!r.ok()) return Malformed("query result");
   }
   if (!r.ok()) return Malformed("query result");
+  QueryResult result(num_aggs);
+  result.rows_scanned = rows_scanned;
+  result.bricks_scanned = bricks_scanned;
+  result.bricks_pruned = bricks_pruned;
+  result.bricks_rle_skipped = bricks_rle_skipped;
+  // Merging into fresh default states reproduces the encoded states
+  // bit-for-bit (see QueryResult::AccumulateState).
+  result.MergeSortedGroups(num_groups, arity, keys.data(), states.data());
   return result;
 }
 

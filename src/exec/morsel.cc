@@ -23,6 +23,24 @@ std::vector<MorselRange> SplitMorsels(const std::vector<size_t>& item_rows,
   return morsels;
 }
 
+std::vector<size_t> BatchMorsels(const std::vector<MorselRange>& morsels,
+                                 size_t morsel_rows) {
+  if (morsel_rows == 0) morsel_rows = kDefaultMorselRows;
+  std::vector<size_t> bounds = {0};
+  if (morsels.empty()) return bounds;
+  size_t rows = 0;
+  for (size_t i = 0; i < morsels.size(); ++i) {
+    const size_t n = morsels[i].end - morsels[i].begin;
+    if (i > bounds.back() && rows + n > morsel_rows) {
+      bounds.push_back(i);
+      rows = 0;
+    }
+    rows += n;
+  }
+  bounds.push_back(morsels.size());
+  return bounds;
+}
+
 Status ForEachMorsel(ThreadPool* pool, int max_tasks, size_t count,
                      const std::function<void(size_t)>& body,
                      const CancelToken* cancel, MorselMetrics* metrics,

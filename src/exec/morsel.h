@@ -72,6 +72,16 @@ struct MorselRange {
 std::vector<MorselRange> SplitMorsels(const std::vector<size_t>& item_rows,
                                       size_t morsel_rows);
 
+// Groups consecutive morsels into scan tasks of at most `morsel_rows`
+// rows (0 = kDefaultMorselRows), never splitting a morsel. Returns each
+// task's first morsel index followed by morsels.size(), so task t covers
+// [bounds[t], bounds[t + 1]); no morsels yield no tasks. A full morsel
+// is a task of its own; the morsels of many short items share one
+// instead of each paying a task's fixed cost (a state, a flush and a
+// merge). A pure function of its inputs, like SplitMorsels.
+std::vector<size_t> BatchMorsels(const std::vector<MorselRange>& morsels,
+                                 size_t morsel_rows);
+
 // Execution accounting for one ForEachMorsel call.
 struct MorselMetrics {
   int64_t executed = 0;  // morsels whose body ran to completion

@@ -531,9 +531,12 @@ void EpollTransport::SendBytes(Connection* conn, std::string bytes) {
 
 void EpollTransport::FlushWrites(Connection* conn) {
   while (conn->write_off < conn->write_buf.size()) {
+    // MSG_NOSIGNAL: a peer that already closed must fail this write with
+    // EPIPE (closing the connection below), not raise SIGPIPE and kill
+    // the process.
     const ssize_t n =
-        write(conn->fd, conn->write_buf.data() + conn->write_off,
-              conn->write_buf.size() - conn->write_off);
+        send(conn->fd, conn->write_buf.data() + conn->write_off,
+             conn->write_buf.size() - conn->write_off, MSG_NOSIGNAL);
     if (n > 0) {
       conn->write_off += static_cast<size_t>(n);
       continue;

@@ -274,7 +274,7 @@ Result<net::Message> ServerCore::Handle(const net::Message& request) {
               cubrick::QueryResult partial(env.query.aggregations.size());
               SCALEWALL_RETURN_IF_ERROR(
                   it->second.Execute(env.query, partial, *jctx));
-              merged.result.Merge(partial);
+              SCALEWALL_RETURN_IF_ERROR(merged.result.Merge(partial));
               merged.epochs[clo] = it->second.epoch();
             } else {
               if (transport_ == nullptr) {
@@ -302,7 +302,7 @@ Result<net::Message> ServerCore::Handle(const net::Message& request) {
               }
               auto partial = cwire::DecodeSubqueryResponse(response->payload);
               if (!partial.ok()) return partial.status();
-              merged.result.Merge(partial->result);
+              SCALEWALL_RETURN_IF_ERROR(merged.result.Merge(partial->result));
               merged.epochs[clo] = partial->epoch;
               merged.forward_hops[clo] = partial->forward_hops + 1;
             }
@@ -337,7 +337,7 @@ Result<net::Message> ServerCore::Handle(const net::Message& request) {
               return Status::Internal(
                   "tree merge response misaligned with request");
             }
-            merged.result.Merge(subres->result);
+            SCALEWALL_RETURN_IF_ERROR(merged.result.Merge(subres->result));
             for (size_t i = clo; i < chi; ++i) {
               merged.epochs[i] = subres->epochs[i - clo];
               merged.forward_hops[i] = subres->forward_hops[i - clo];
@@ -619,7 +619,7 @@ Status ProxyCore::FanOutFlat(const cubrick::QueryRequest& request,
     std::string telemetry;
     auto partial = cwire::DecodeSubqueryResponse(response->payload, &telemetry);
     if (!partial.ok()) return partial.status();
-    merged->Merge(partial->result);
+    SCALEWALL_RETURN_IF_ERROR(merged->Merge(partial->result));
     if (root != nullptr) {
       std::vector<obs::SpanRecord> batch;
       const Status tstatus = net::DecodeSpanBatch(telemetry, &batch);
@@ -727,7 +727,7 @@ Status ProxyCore::FanOutTree(const cubrick::QueryRequest& request,
       }
       auto partial = cwire::DecodeSubqueryResponse(response->payload);
       if (!partial.ok()) return partial.status();
-      merged->Merge(partial->result);
+      SCALEWALL_RETURN_IF_ERROR(merged->Merge(partial->result));
     } else {
       if (response->type != net::FrameType::kTreeMergeResponse) {
         return Status::Internal(
@@ -736,7 +736,7 @@ Status ProxyCore::FanOutTree(const cubrick::QueryRequest& request,
       }
       auto subres = cwire::DecodeTreeMergeResponse(response->payload);
       if (!subres.ok()) return subres.status();
-      merged->Merge(subres->result);
+      SCALEWALL_RETURN_IF_ERROR(merged->Merge(subres->result));
     }
   }
   return Status::Ok();
@@ -752,16 +752,8 @@ Status ProxyCore::ShuffleMap(const cubrick::Query& query,
   // server b % num_servers.
   const uint32_t num_servers = std::max(1u, options_.num_servers);
   const uint32_t num_buckets = std::min(8u, num_servers);
-  const size_t num_aggs = query.aggregations.size();
-  std::map<uint32_t, cubrick::QueryResult> buckets;
-  for (const auto& [key, states] : scanned.groups()) {
-    const uint32_t b =
-        cubrick::ShuffleBucket(key, query.joins.size(), num_buckets);
-    auto [it, inserted] = buckets.try_emplace(b, num_aggs);
-    for (size_t a = 0; a < states.size(); ++a) {
-      it->second.AccumulateState(key, a, states[a]);
-    }
-  }
+  const std::map<uint32_t, cubrick::QueryResult> buckets =
+      cubrick::SplitShuffleBuckets(scanned, query.joins.size(), num_buckets);
 
   // Stage 3: map each bucket through a server's dim replicas and fold
   // the joined groups in ascending bucket order (deterministic: bucket
@@ -785,7 +777,7 @@ Status ProxyCore::ShuffleMap(const cubrick::Query& query,
     }
     auto joined = cwire::DecodeShuffleMapResponse(response->payload);
     if (!joined.ok()) return joined.status();
-    mapped->Merge(*joined);
+    SCALEWALL_RETURN_IF_ERROR(mapped->Merge(*joined));
   }
   return Status::Ok();
 }

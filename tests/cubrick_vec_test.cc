@@ -234,7 +234,7 @@ TEST(VecDifferentialTest, RandomQueriesCompressed) {
 
 TEST(VecDifferentialTest, HashModeGrouping) {
   // Cardinality product 128^2 = 16384 > the 4096 direct-slot cap, so
-  // grouping goes through GroupKeyIndex.
+  // grouping goes through packed keys (vec::PackedSlotMap).
   const TableSchema schema = workload::MakeSchema(2, 128, 32, 2);
   TablePartition part = MakeLoadedPartition(schema, 8000, 5);
   Query q;

@@ -111,6 +111,19 @@ TEST(SplitMorselsTest, FixedBoundariesAndOrder) {
   EXPECT_EQ(morsels, expected);
 }
 
+TEST(BatchMorselsTest, ShortMorselsShareTasksFullOnesStandAlone) {
+  // Items of 3, 4, 0, 10 and 25 rows, split at 10.
+  const auto morsels = SplitMorsels({3, 4, 0, 10, 25}, 10);
+  ASSERT_EQ(morsels.size(), 7u);
+  // Tasks: {3, 4, 0} = 7 rows, {10}, {10}, {10}, {5}.
+  EXPECT_EQ(BatchMorsels(morsels, 10),
+            (std::vector<size_t>{0, 3, 4, 5, 6, 7}));
+  // One morsel larger than the budget is still a task of its own.
+  EXPECT_EQ(BatchMorsels(SplitMorsels({50}, 100), 10),
+            (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(BatchMorsels({}, 10), (std::vector<size_t>{0}));
+}
+
 TEST(SplitMorselsTest, ZeroMorselRowsFallsBackToDefault) {
   auto morsels = SplitMorsels({5}, 0);
   ASSERT_EQ(morsels.size(), 1u);

@@ -13,7 +13,9 @@
 
 #include "common/random.h"
 #include "common/status.h"
+#include "cubrick/net_service.h"
 #include "cubrick/wire.h"
+#include "net/sim_transport.h"
 #include "net/telemetry.h"
 #include "net/wire.h"
 #include "obs/metrics_registry.h"
@@ -227,9 +229,12 @@ Query RandomQuery(Rng& rng) {
 
 QueryResult RandomResult(Rng& rng, size_t num_aggs) {
   QueryResult result(num_aggs);
+  // One key arity per result, as every real result has (the decoder
+  // rejects a varying one).
+  const uint64_t arity = rng.NextBounded(4);
   for (uint64_t g = 0, n = rng.NextBounded(20); g < n; ++g) {
     QueryResult::GroupKey key;
-    for (uint64_t k = 0, m = rng.NextBounded(4); k < m; ++k) {
+    for (uint64_t k = 0; k < arity; ++k) {
       key.push_back(static_cast<uint32_t>(rng.Next()));
     }
     for (size_t a = 0; a < num_aggs; ++a) {
@@ -340,6 +345,93 @@ TEST(WireDifferentialTest, QueryResultRoundTripsByteStable) {
           return decoded;
         },
         "QueryResult");
+  }
+}
+
+// A QueryResult payload built field by field: num_aggs, the four scan
+// counters, then per group a key (count + values) and its states.
+struct RawGroup {
+  std::vector<uint32_t> key;
+  uint32_t num_states;
+};
+
+std::string RawQueryResult(uint32_t num_aggs,
+                           const std::vector<RawGroup>& groups) {
+  net::WireWriter w;
+  w.U32(num_aggs);
+  for (int c = 0; c < 4; ++c) w.I64(0);
+  w.U32(static_cast<uint32_t>(groups.size()));
+  for (const RawGroup& g : groups) {
+    w.U32Vec(g.key);
+    w.U32(g.num_states);
+    for (uint32_t a = 0; a < g.num_states; ++a) {
+      w.F64(1.0);
+      w.I64(1);
+      w.F64(1.0);
+      w.F64(1.0);
+    }
+  }
+  return std::move(w).str();
+}
+
+Status DecodeRawResult(const std::string& bytes) {
+  net::WireReader r(bytes);
+  return cubrick::wire::DecodeQueryResult(r).status();
+}
+
+void ExpectMalformed(const std::string& bytes, const char* what) {
+  const Status status = DecodeRawResult(bytes);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+  EXPECT_NE(status.message().find("malformed"), std::string::npos)
+      << what << ": " << status.ToString();
+}
+
+TEST(WireQueryResultTest, WellFormedPayloadDecodes) {
+  const std::string bytes =
+      RawQueryResult(2, {{{1, 2}, 2}, {{1, 3}, 2}, {{2, 0}, 2}});
+  net::WireReader r(bytes);
+  auto decoded = cubrick::wire::DecodeQueryResult(r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(decoded->num_groups(), 3u);
+  EXPECT_EQ(decoded->groups().arity(), 2u);
+}
+
+TEST(WireQueryResultTest, RejectsStateCountOtherThanNumAggs) {
+  // More states than aggregations used to write past the group's state
+  // vector; fewer left it short.
+  ExpectMalformed(RawQueryResult(1, {{{7}, 2}}), "2 states, num_aggs 1");
+  ExpectMalformed(RawQueryResult(3, {{{7}, 3}, {{8}, 1}}),
+                  "1 state, num_aggs 3");
+  ExpectMalformed(RawQueryResult(0, {{{7}, 1}}), "1 state, num_aggs 0");
+}
+
+TEST(WireQueryResultTest, RejectsHugeNumAggsWithoutSizingGroups) {
+  // num_aggs is a peer count: it must not size any group's states.
+  ExpectMalformed(RawQueryResult(0xffffffffu, {{{7}, 1}}), "forged num_aggs");
+  ExpectMalformed(RawQueryResult(1u << 30, {{{7}, 0}}), "forged num_aggs");
+}
+
+TEST(WireQueryResultTest, RejectsVaryingKeyArity) {
+  ExpectMalformed(RawQueryResult(1, {{{1}, 1}, {{2, 0}, 1}}), "arity 1 then 2");
+  ExpectMalformed(RawQueryResult(1, {{{1, 5}, 1}, {{2}, 1}}), "arity 2 then 1");
+}
+
+TEST(WireQueryResultTest, RejectsUnsortedAndDuplicateKeys) {
+  ExpectMalformed(RawQueryResult(1, {{{5}, 1}, {{3}, 1}}), "descending keys");
+  ExpectMalformed(RawQueryResult(1, {{{3, 1}, 1}, {{3, 1}, 1}}),
+                  "duplicate keys");
+  ExpectMalformed(RawQueryResult(1, {{{}, 1}, {{}, 1}}),
+                  "duplicate empty keys");
+}
+
+TEST(WireQueryResultTest, TruncationAtEveryByteRejected) {
+  const std::string bytes =
+      RawQueryResult(2, {{{1, 2}, 2}, {{1, 3}, 2}, {{2, 0}, 2}});
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    net::WireReader r(std::string_view(bytes).substr(0, len));
+    auto decoded = cubrick::wire::DecodeQueryResult(r);
+    EXPECT_TRUE(!decoded.ok() || !r.exhausted()) << "prefix " << len;
   }
 }
 
@@ -586,6 +678,50 @@ TEST(WireDifferentialTest, TreeMergeRequestRejectsMalformedShapes) {
       cubrick::wire::DecodeTreeMergeRequest(
           cubrick::wire::EncodeTreeMergeRequest(skewed))
           .ok());
+}
+
+// A forwarded leaf whose partial has another aggregation count must fail
+// the aggregator's tree merge, not drop out of the merged result.
+TEST(TreeMergeHandlerTest, ForwardedLeafOfAnotherShapeFailsTheMerge) {
+  sim::Simulation simulation(1);
+  net::SimNetwork network(&simulation);
+  cubrick::PartialResult leaf;
+  leaf.result = QueryResult(2);
+  leaf.result.Accumulate({7}, 0, 1.0);
+  leaf.result.Accumulate({7}, 1, 2.0);
+  network.Node(cubrick::NodePeerName(2))
+      ->SetHandler([&](const net::Message&, const net::CallSideband&)
+                       -> Result<net::Message> {
+        return net::Message{net::FrameType::kSubqueryResponse,
+                            cubrick::wire::EncodeSubqueryResponse(leaf)};
+      });
+  cubrick::RegionContext ctx;
+  ctx.transport = network.Node(cubrick::NodePeerName(1));
+  // The only leaf lives on server 2, so aggregator 1 scans nothing
+  // itself and needs no local server.
+  const net::Handler aggregator =
+      cubrick::MakeServerNodeHandler(nullptr, 1, &ctx);
+
+  cubrick::wire::TreeMergeEnvelope envelope;
+  envelope.query.table = "t";
+  envelope.query.group_by = {0};
+  envelope.query.aggregations = {{0, cubrick::AggOp::kSum}};
+  envelope.partitions = {0};
+  envelope.servers = {2};
+  envelope.fanin = 2;
+  const net::Message request{net::FrameType::kTreeMergeRequest,
+                             cubrick::wire::EncodeTreeMergeRequest(envelope)};
+  auto refused = aggregator(request, net::CallSideband{});
+  EXPECT_EQ(StatusCode::kInvalidArgument, refused.status().code());
+
+  // The same leaf with the query's aggregation count merges.
+  leaf.result = QueryResult(1);
+  leaf.result.Accumulate({7}, 0, 1.0);
+  auto merged = aggregator(request, net::CallSideband{});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  auto decoded = cubrick::wire::DecodeTreeMergeResponse(merged->payload);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(1u, decoded->result.num_groups());
 }
 
 TEST(WireDifferentialTest, ShuffleMapEnvelopesRoundTripByteStable) {

@@ -225,6 +225,91 @@ TEST(GroupKeyIndexTest, SurvivesRehashGrowth) {
   }
 }
 
+TEST(SlotKernelTest, PackedKeysPastThirtyTwoBits) {
+  DirectLayout layout;
+  const uint32_t big = 1u << 20;
+  ASSERT_TRUE(layout.Build({big, big, 7}, UINT64_MAX));
+  std::vector<uint32_t> col0 = {big - 1, 3};
+  std::vector<uint32_t> col1 = {5, big - 2};
+  std::vector<uint32_t> col2 = {6, 0};
+  std::vector<uint64_t> packed(2, 0);
+  SlotAccumulateDense(col0.data(), 0, 2, layout.strides[0], packed.data());
+  SlotAccumulateDense(col1.data(), 0, 2, layout.strides[1], packed.data());
+  SlotAccumulateDense(col2.data(), 0, 2, layout.strides[2], packed.data());
+  uint32_t key[3];
+  layout.DecodeSlot(packed[0], key);
+  EXPECT_EQ(key[0], big - 1);
+  EXPECT_EQ(key[1], 5u);
+  EXPECT_EQ(key[2], 6u);
+  // Integer order of packed keys is lexicographic key order.
+  EXPECT_GT(packed[0], packed[1]);
+}
+
+// Assigns `keys` through a fresh map and returns the slots.
+std::vector<uint32_t> AssignAll(uint64_t key_space,
+                                const std::vector<uint64_t>& keys) {
+  PackedSlotMap map(key_space);
+  std::vector<uint32_t> slots(keys.size());
+  map.Assign(keys.data(), keys.size(), slots.data());
+  EXPECT_EQ(map.keys().size(), map.num_slots());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(map.keys()[slots[i]], keys[i]);
+  }
+  return slots;
+}
+
+TEST(PackedSlotMapTest, FirstSeenSlotsInRemapAndHashModes) {
+  const std::vector<uint64_t> keys = {9, 3, 9, 0, 3, 7};
+  const std::vector<uint32_t> expected = {0, 1, 0, 2, 1, 3};
+  EXPECT_EQ(AssignAll(10, keys), expected);  // remap array
+  EXPECT_EQ(AssignAll(PackedSlotMap::kMaxRemapSlots, keys), expected);
+  EXPECT_EQ(AssignAll(PackedSlotMap::kMaxRemapSlots + 1, keys), expected);
+  // The remap scratch came back all-zero: a second map sees fresh keys.
+  EXPECT_EQ(AssignAll(10, {7, 9}), (std::vector<uint32_t>{0, 1}));
+}
+
+TEST(PackedSlotMapTest, SlotsByKeyWalksOrSorts) {
+  // A dense remap walk, a sparse remap (sorted), the hash (sorted).
+  for (uint64_t space : {uint64_t{16}, PackedSlotMap::kMaxRemapSlots,
+                         PackedSlotMap::kMaxRemapSlots + 1}) {
+    PackedSlotMap map(space);
+    const uint64_t keys[] = {9, 3, 15, 0, 7, 3};
+    uint32_t slots[6];
+    map.Assign(keys, 6, slots);
+    // Keys 0, 3, 7, 9, 15 hold slots 3, 1, 4, 0, 2.
+    EXPECT_EQ(map.SlotsByKey(), (std::vector<uint32_t>{3, 1, 4, 0, 2}))
+        << space;
+  }
+}
+
+TEST(PackedSlotMapTest, HashModeSurvivesGrowth) {
+  Rng rng(9);
+  std::vector<uint64_t> keys;
+  for (int i = 0; i < 5000; ++i) keys.push_back(rng.NextBounded(3000) << 40);
+  PackedSlotMap map(UINT64_MAX);
+  std::vector<uint32_t> slots(keys.size());
+  map.Assign(keys.data(), keys.size(), slots.data());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(map.keys()[slots[i]], keys[i]);
+  }
+}
+
+TEST(PackedSlotMapTest, TwoLiveMapsOnOneThreadStayApart) {
+  PackedSlotMap a(100);
+  PackedSlotMap b(100);  // the thread's scratch is taken: owns its array
+  const uint64_t ka[] = {5, 6};
+  const uint64_t kb[] = {6, 5, 4};
+  uint32_t sa[2];
+  uint32_t sb[3];
+  a.Assign(ka, 2, sa);
+  b.Assign(kb, 3, sb);
+  EXPECT_EQ(sa[0], 0u);
+  EXPECT_EQ(sa[1], 1u);
+  EXPECT_EQ(sb[0], 0u);
+  EXPECT_EQ(sb[1], 1u);
+  EXPECT_EQ(sb[2], 2u);
+}
+
 TEST(AggKernelTest, AccumulateMatchesScalarAddSequence) {
   Rng rng(17);
   const size_t kRows = 300;
