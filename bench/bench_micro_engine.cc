@@ -21,9 +21,11 @@
 #include "cubrick/partition.h"
 #include "cubrick/server.h"
 #include "cubrick/shard_mapper.h"
+#include "cubrick/wire.h"
 #include "sim/simulation.h"
 #include "exec/morsel.h"
 #include "exec/thread_pool.h"
+#include "net/wire.h"
 #include "obs/trace.h"
 #include "workload/generators.h"
 
@@ -224,6 +226,62 @@ void BM_CoordinatorMergeTreeRoot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_CoordinatorMergeTreeRoot);
+
+// --- result path: the wire codec of a wide result, and top-N ---
+
+// A 16,384-group, 2-aggregation result: two grouped dimensions of 128
+// values, the width of the widest wide_groupby shapes.
+cubrick::QueryResult MakeWideResult() {
+  Rng rng(11);
+  cubrick::QueryResult r(2);
+  for (uint32_t a = 0; a < 128; ++a) {
+    for (uint32_t b = 0; b < 128; ++b) {
+      const double v = static_cast<double>(rng.NextBounded(1000));
+      r.Accumulate({a, b}, 0, v);
+      r.Accumulate({a, b}, 1, v * 0.5);
+    }
+  }
+  return r;
+}
+
+// Encode + decode of one partial, as every subquery and tree-merge hop
+// runs it.
+void BM_QueryResultCodec(benchmark::State& state) {
+  const cubrick::QueryResult result = MakeWideResult();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    net::WireWriter w;
+    cubrick::wire::EncodeQueryResult(w, result);
+    net::WireReader r(w.str());
+    auto decoded = cubrick::wire::DecodeQueryResult(r);
+    benchmark::DoNotOptimize(decoded);
+    bytes = w.size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(result.num_groups()));
+}
+BENCHMARK(BM_QueryResultCodec);
+
+// ORDER BY SUM DESC LIMIT 10 over the merged 16,384 groups.
+void BM_MaterializeTopK(benchmark::State& state) {
+  const cubrick::QueryResult result = MakeWideResult();
+  cubrick::Query q;
+  q.table = "bench";
+  q.group_by = {0, 1};
+  q.aggregations = {cubrick::Aggregation{0, cubrick::AggOp::kSum},
+                    cubrick::Aggregation{1, cubrick::AggOp::kMax}};
+  q.order_by = 0;
+  q.descending = true;
+  q.limit = 10;
+  for (auto _ : state) {
+    auto rows = cubrick::MaterializeRows(result, q);
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(result.num_groups()));
+}
+BENCHMARK(BM_MaterializeTopK);
 
 void BM_DimCodecEncode(benchmark::State& state) {
   Rng rng(3);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 
 namespace scalewall::cubrick {
 
@@ -91,40 +92,52 @@ Status Query::Validate(const TableSchema& schema) const {
 
 std::vector<ResultRow> MaterializeRows(const QueryResult& result,
                                        const Query& query) {
-  std::vector<ResultRow> rows(result.num_groups());
-  const size_t num_aggs = query.aggregations.size();
-  size_t i = 0;
-  for (const auto& [key, states] : result.groups()) {
-    ResultRow& row = rows[i++];
-    row.key.assign(key.begin(), key.end());
-    row.values.resize(num_aggs);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      row.values[a] = a < states.size()
-                          ? states[a].Finalize(query.aggregations[a].op)
-                          : 0.0;
+  const GroupTable& groups = result.groups();
+  const size_t n = groups.size();
+  const size_t keep = query.limit > 0 ? std::min<size_t>(n, query.limit) : n;
+  auto finalize = [&](size_t row, size_t agg) {
+    const GroupTable::States states = groups.states(row);
+    return agg < states.size()
+               ? states[agg].Finalize(query.aggregations[agg].op)
+               : 0.0;
+  };
+  // Rows of the table in presentation order; empty means key order.
+  std::vector<size_t> order;
+  if (query.order_by >= 0 && n > 0) {
+    const size_t agg = static_cast<size_t>(query.order_by);
+    std::vector<double> by(n);
+    for (size_t row = 0; row < n; ++row) by[row] = finalize(row, agg);
+    order.resize(n);
+    std::iota(order.begin(), order.end(), size_t{0});
+    const bool desc = query.descending;
+    auto before = [&by, desc](size_t a, size_t b) {
+      // NaN finalized values (e.g. a NaN metric summed) would make the
+      // raw comparisons non-strict-weak, which is UB in a sort. Order
+      // NaN after every number; ties (including NaN vs NaN) go by row,
+      // which is group key order.
+      const double av = by[a];
+      const double bv = by[b];
+      const bool an = std::isnan(av);
+      const bool bn = std::isnan(bv);
+      if (an != bn) return bn;  // the non-NaN row sorts first
+      if (!an && av != bv) return desc ? av > bv : av < bv;
+      return a < b;
+    };
+    const auto kept_end = order.begin() + static_cast<std::ptrdiff_t>(keep);
+    if (keep < n) {
+      std::partial_sort(order.begin(), kept_end, order.end(), before);
+    } else {
+      std::sort(order.begin(), order.end(), before);
     }
   }
-  if (query.order_by >= 0) {
-    size_t agg = static_cast<size_t>(query.order_by);
-    bool desc = query.descending;
-    std::stable_sort(
-        rows.begin(), rows.end(),
-        [agg, desc](const ResultRow& a, const ResultRow& b) {
-          // NaN finalized values (e.g. a NaN metric summed) would make
-          // the raw comparisons non-strict-weak — UB in
-          // stable_sort. Order NaN after every number deterministically,
-          // ties (including NaN vs NaN) by group key.
-          const double av = a.values[agg];
-          const double bv = b.values[agg];
-          const bool an = std::isnan(av);
-          const bool bn = std::isnan(bv);
-          if (an != bn) return bn;  // the non-NaN row sorts first
-          if (!an && av != bv) return desc ? av > bv : av < bv;
-          return a.key < b.key;
-        });
-  }
-  if (query.limit > 0 && rows.size() > query.limit) {
-    rows.resize(query.limit);
+  const size_t num_aggs = query.aggregations.size();
+  std::vector<ResultRow> rows(keep);
+  for (size_t i = 0; i < keep; ++i) {
+    const size_t row = order.empty() ? i : order[i];
+    const GroupKeyView key = groups.key(row);
+    rows[i].key.assign(key.begin(), key.end());
+    rows[i].values.resize(num_aggs);
+    for (size_t a = 0; a < num_aggs; ++a) rows[i].values[a] = finalize(row, a);
   }
   return rows;
 }
@@ -221,6 +234,15 @@ AggState* GroupTable::FindOrInsert(GroupKeyView probe) {
                  num_aggs_, AggState{});
   ++num_rows_;
   return states_.data() + row * num_aggs_;
+}
+
+GroupTable::Storage GroupTable::ResizeForFill(size_t n, size_t arity) {
+  assert(num_rows_ == 0 && "a bulk fill starts from an empty table");
+  arity_ = arity;
+  num_rows_ = n;
+  keys_.resize(n * arity);
+  states_.resize(n * num_aggs_);
+  return Storage{keys_.data(), states_.data()};
 }
 
 void GroupTable::MergeSorted(size_t n, size_t arity, const uint32_t* keys,

@@ -282,6 +282,21 @@ class GroupTable {
                    std::vector<AggState>&& states);
   void Merge(const GroupTable& other);
 
+  // The key and state arrays, row-major: key(row) starts at
+  // key_data() + row * arity(), states(row) at state_data() +
+  // row * num_aggs(). The wire codec copies them as blocks.
+  const uint32_t* key_data() const { return keys_.data(); }
+  const AggState* state_data() const { return states_.data(); }
+
+  // Sizes an empty table to `n` groups of `arity` and returns its key
+  // and state arrays for a bulk fill (the wire decoder). The caller
+  // writes every key and state, in strictly ascending key order.
+  struct Storage {
+    uint32_t* keys;
+    AggState* states;
+  };
+  Storage ResizeForFill(size_t n, size_t arity);
+
   // Bytes the table holds on the heap (allocated capacity).
   size_t HeapBytes() const {
     return keys_.capacity() * sizeof(uint32_t) +
@@ -335,6 +350,10 @@ class QueryResult {
                          std::vector<AggState>&& states) {
     groups_.MergeSorted(arity, std::move(keys), std::move(states));
   }
+  // GroupTable::ResizeForFill on this result's (empty) table.
+  GroupTable::Storage ResizeGroupsForFill(size_t n, size_t arity) {
+    return groups_.ResizeForFill(n, arity);
+  }
 
   // Merges another partial result of the same query shape. A result
   // with groups of another key arity or aggregation count (a peer's
@@ -368,7 +387,9 @@ struct ResultRow {
 };
 
 // Materializes a merged result into presentation rows, applying the
-// query's ORDER BY / LIMIT (stable; ties broken by group key).
+// query's ORDER BY / LIMIT: ties are broken by group key and NaN values
+// sort after every number, so the order is total. Only the rows LIMIT
+// keeps are built.
 std::vector<ResultRow> MaterializeRows(const QueryResult& result,
                                        const Query& query);
 

@@ -1,6 +1,11 @@
 #include "cubrick/wire.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 namespace scalewall::cubrick::wire {
@@ -22,17 +27,16 @@ std::vector<int> DecodeIntVec(net::WireReader& r) {
   return v;
 }
 
-Status Malformed(const char* what) {
-  return Status::InvalidArgument(std::string("malformed wire payload: ") +
-                                 what);
+Status Malformed(std::string_view what) {
+  return Status::InvalidArgument("malformed wire payload: " +
+                                 std::string(what));
 }
 
 // Finishes a fixed-shape decode: the payload must be fully consumed.
 Status CheckExhausted(const net::WireReader& r, const char* what) {
   if (!r.ok()) return Malformed(what);
   if (!r.exhausted()) {
-    return Status::InvalidArgument(std::string("trailing garbage after ") +
-                                   what);
+    return Malformed("trailing garbage after " + std::string(what));
   }
   return Status::Ok();
 }
@@ -138,26 +142,31 @@ Result<Query> DecodeQuery(net::WireReader& r) {
   return query;
 }
 
+// The state block is the table's AggState array verbatim: 32 bytes per
+// state, {sum, count, min, max} as little-endian f64, i64, f64, f64 —
+// the bit patterns the field-by-field encoding of earlier versions wrote.
+static_assert(std::is_trivially_copyable_v<AggState>);
+static_assert(std::is_standard_layout_v<AggState>);
+static_assert(sizeof(AggState) == 32);
+static_assert(offsetof(AggState, sum) == 0 && offsetof(AggState, count) == 8 &&
+              offsetof(AggState, min) == 16 && offsetof(AggState, max) == 24);
+
 void EncodeQueryResult(net::WireWriter& w, const QueryResult& result) {
+  const GroupTable& groups = result.groups();
+  const size_t num_groups = groups.size();
+  const size_t arity = num_groups == 0 ? 0 : groups.arity();
+  const size_t key_bytes = num_groups * arity * sizeof(uint32_t);
+  const size_t state_bytes = num_groups * groups.num_aggs() * sizeof(AggState);
   w.U32(static_cast<uint32_t>(result.num_aggregations()));
   w.I64(result.rows_scanned);
   w.I64(result.bricks_scanned);
   w.I64(result.bricks_pruned);
   w.I64(result.bricks_rle_skipped);
-  w.U32(static_cast<uint32_t>(result.num_groups()));
-  // groups() iterates in key order: the byte stream is deterministic,
-  // and decode re-inserts in the same order.
-  for (const auto& [key, states] : result.groups()) {
-    w.U32(static_cast<uint32_t>(key.size()));
-    for (uint32_t v : key) w.U32(v);
-    w.U32(static_cast<uint32_t>(states.size()));
-    for (const AggState& s : states) {
-      w.F64(s.sum);
-      w.I64(s.count);
-      w.F64(s.min);
-      w.F64(s.max);
-    }
-  }
+  w.U32(static_cast<uint32_t>(num_groups));
+  w.U32(static_cast<uint32_t>(arity));
+  // The table is key-ordered, so the bytes are deterministic.
+  w.Bytes(groups.key_data(), key_bytes);
+  w.Bytes(groups.state_data(), state_bytes);
 }
 
 Result<QueryResult> DecodeQueryResult(net::WireReader& r) {
@@ -167,73 +176,96 @@ Result<QueryResult> DecodeQueryResult(net::WireReader& r) {
   const int64_t bricks_pruned = r.I64();
   const int64_t bricks_rle_skipped = r.I64();
   const uint32_t num_groups = r.U32();
-  if (!r.CheckCount(num_groups, 8)) return Malformed("result groups");
-  // The encoder writes one table: every group carries num_aggs states
-  // and a key of one arity, in strictly ascending key order. A peer's
-  // counts are checked against that before anything is sized by them.
-  uint32_t arity = 0;
-  std::vector<uint32_t> keys;
-  std::vector<AggState> states;
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    const uint32_t key_size = r.U32();
-    if (!r.CheckCount(key_size, 4)) return Malformed("result key");
-    if (g == 0) {
-      arity = key_size;
-      // Every key value still to come is 4 payload bytes.
-      keys.reserve(std::min<uint64_t>(uint64_t{num_groups} * arity,
-                                      r.remaining() / 4));
-    } else if (key_size != arity) {
-      return Malformed("result key arity varies");
-    }
-    const size_t at = keys.size();
-    for (uint32_t k = 0; k < key_size; ++k) keys.push_back(r.U32());
-    if (g > 0 && !(GroupKeyView(keys.data() + at - arity, arity) <
-                   GroupKeyView(keys.data() + at, arity))) {
-      return Malformed("result groups out of key order");
-    }
-    const uint32_t num_states = r.U32();
-    if (num_states != num_aggs) return Malformed("result state count");
-    if (!r.CheckCount(num_states, 32)) return Malformed("result states");
-    for (uint32_t a = 0; a < num_states; ++a) {
-      AggState state;
-      state.sum = r.F64();
-      state.count = r.I64();
-      state.min = r.F64();
-      state.max = r.F64();
-      states.push_back(state);
-    }
-    if (!r.ok()) return Malformed("query result");
-  }
+  const uint32_t arity = r.U32();
   if (!r.ok()) return Malformed("query result");
+  if (num_groups == 0 && arity != 0) return Malformed("result key arity");
+  // Every group carries num_aggs states; a query has at least one.
+  if (num_groups > 0 && num_aggs == 0) return Malformed("result state count");
+  // By division, never by multiplication: num_groups * group_bytes wraps
+  // 64 bits for forged counts. With groups, group_bytes >= 32.
+  const uint64_t group_bytes = uint64_t{4} * arity + uint64_t{32} * num_aggs;
+  if (num_groups > 0 && num_groups > r.remaining() / group_bytes) {
+    return Malformed("result groups past payload");
+  }
   QueryResult result(num_aggs);
   result.rows_scanned = rows_scanned;
   result.bricks_scanned = bricks_scanned;
   result.bricks_pruned = bricks_pruned;
   result.bricks_rle_skipped = bricks_rle_skipped;
-  // Merging into fresh default states reproduces the encoded states
-  // bit-for-bit (see QueryResult::AccumulateState).
-  result.MergeSortedGroups(num_groups, arity, keys.data(), states.data());
+  if (num_groups == 0) return result;
+  // Both blocks fit in the payload, so these sizes are bounded by it.
+  const size_t num_keys = size_t{num_groups} * arity;
+  const size_t num_states = size_t{num_groups} * num_aggs;
+  const GroupTable::Storage storage =
+      result.ResizeGroupsForFill(num_groups, arity);
+  r.Bytes(storage.keys, num_keys * sizeof(uint32_t));
+  r.Bytes(storage.states, num_states * sizeof(AggState));
+  if (!r.ok()) return Malformed("query result");
+  for (size_t g = 1; g < num_groups; ++g) {
+    const uint32_t* key = storage.keys + g * arity;
+    if (!(GroupKeyView(key - arity, arity) < GroupKeyView(key, arity))) {
+      return Malformed("result groups out of key order");
+    }
+  }
+  // Fold each state into a fresh default, as a merge into an empty
+  // result would: the scan's states come out bit-for-bit, and a peer's
+  // -0.0 sum or NaN min/max is normalized exactly as a merge does.
+  for (size_t s = 0; s < num_states; ++s) {
+    AggState folded;
+    folded.Merge(storage.states[s]);
+    storage.states[s] = folded;
+  }
   return result;
 }
 
 void EncodeResultRows(net::WireWriter& w, const std::vector<ResultRow>& rows) {
+  const size_t arity = rows.empty() ? 0 : rows.front().key.size();
+  const size_t num_values = rows.empty() ? 0 : rows.front().values.size();
+  const bool one_shape =
+      std::all_of(rows.begin(), rows.end(), [&](const ResultRow& row) {
+        return row.key.size() == arity && row.values.size() == num_values;
+      });
   w.U32(static_cast<uint32_t>(rows.size()));
+  if (!one_shape) {
+    // Not expressible as blocks: a header no decoder accepts (its rows
+    // would run past any payload), never misaligned blocks.
+    w.U32(UINT32_MAX);
+    w.U32(UINT32_MAX);
+    return;
+  }
+  w.U32(static_cast<uint32_t>(arity));
+  w.U32(static_cast<uint32_t>(num_values));
   for (const ResultRow& row : rows) {
-    w.U32Vec(row.key);
-    w.F64Vec(row.values);
+    w.Bytes(row.key.data(), arity * sizeof(uint32_t));
+  }
+  for (const ResultRow& row : rows) {
+    w.Bytes(row.values.data(), num_values * sizeof(double));
   }
 }
 
 Result<std::vector<ResultRow>> DecodeResultRows(net::WireReader& r) {
   const uint32_t n = r.U32();
-  if (!r.CheckCount(n, 8)) return Malformed("result rows");
-  std::vector<ResultRow> rows;
-  rows.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ResultRow row;
-    row.key = r.U32Vec();
-    row.values = r.F64Vec();
-    rows.push_back(std::move(row));
+  const uint32_t arity = r.U32();
+  const uint32_t num_values = r.U32();
+  if (!r.ok()) return Malformed("result rows");
+  if (n == 0 && (arity != 0 || num_values != 0)) {
+    return Malformed("result rows shape");
+  }
+  // Every row finalizes at least one aggregation.
+  if (n > 0 && num_values == 0) return Malformed("result row values");
+  // By division: n * row_bytes wraps 64 bits for forged counts.
+  const uint64_t row_bytes = uint64_t{4} * arity + uint64_t{8} * num_values;
+  if (n > 0 && n > r.remaining() / row_bytes) {
+    return Malformed("result rows past payload");
+  }
+  std::vector<ResultRow> rows(n);
+  for (ResultRow& row : rows) {
+    row.key.resize(arity);
+    r.Bytes(row.key.data(), arity * sizeof(uint32_t));
+  }
+  for (ResultRow& row : rows) {
+    row.values.resize(num_values);
+    r.Bytes(row.values.data(), num_values * sizeof(double));
   }
   if (!r.ok()) return Malformed("result rows");
   return rows;

@@ -50,9 +50,21 @@ namespace scalewall::cubrick::wire {
 void EncodeQuery(net::WireWriter& w, const Query& query);
 Result<Query> DecodeQuery(net::WireReader& r);
 
+// A result's group table as blocks: u32 num_aggs, the four i64 scan
+// counters, u32 num_groups, u32 arity, then the key block
+// (num_groups * arity u32, key order) and the state block
+// (num_groups * num_aggs AggStates of 32 bytes: f64 sum, i64 count,
+// f64 min, f64 max). The decoder bounds both blocks by the payload
+// before sizing anything and refuses, as a malformed kInvalidArgument,
+// groups without states, an arity without groups and keys that are not
+// strictly ascending.
 void EncodeQueryResult(net::WireWriter& w, const QueryResult& result);
 Result<QueryResult> DecodeQueryResult(net::WireReader& r);
 
+// Presentation rows as blocks: u32 n, u32 arity, u32 num_values, then
+// the key block (n * arity u32) and the value block (n * num_values
+// f64). The rows of one MaterializeRows share that shape; rows that do
+// not encode as a header every decoder refuses.
 void EncodeResultRows(net::WireWriter& w, const std::vector<ResultRow>& rows);
 Result<std::vector<ResultRow>> DecodeResultRows(net::WireReader& r);
 

@@ -16,7 +16,8 @@
 // varints, no alignment, doubles as their IEEE-754 bit pattern (so
 // aggregation states round-trip bit-for-bit — the property the
 // byte-identical-results guarantee rests on). Strings and vectors are
-// u32-length-prefixed.
+// u32-length-prefixed; a block of fixed-width values whose count the
+// payload already gave (a result's keys and states) is one bulk copy.
 //
 // Robustness rules (enforced by FrameDecoder and tested in
 // net_wire_test): a frame longer than kMaxFramePayload is rejected
@@ -29,6 +30,7 @@
 #ifndef SCALEWALL_NET_WIRE_H_
 #define SCALEWALL_NET_WIRE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -39,13 +41,21 @@
 
 namespace scalewall::net {
 
+// Every field is written and read with the host's byte order, and blocks
+// of values are copied in bulk: the wire is little-endian, so the host
+// must be too.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codecs copy host integers and doubles verbatim");
+
 // Bumped whenever the frame layout or any payload encoding changes
 // incompatibly. Decoders reject other versions outright: a mixed-version
 // cluster fails loudly at the first frame instead of misdecoding.
 // v3: ResourceClaim (pool_path/priority/weight_hint) replaced the flat
 // tenant_id+priority pair in the client-query payload, and the
 // coordinate/subquery/tree-merge envelopes gained a pool_path field.
-inline constexpr uint8_t kWireVersion = 3;
+// v4: query results and client rows travel as one header plus a key
+// block and a state (value) block, each a bulk copy (cubrick/wire.h).
+inline constexpr uint8_t kWireVersion = 4;
 
 // Hard cap on one frame's payload. Large enough for any merged result
 // the coordinator ships today; small enough that a garbage length
@@ -115,9 +125,10 @@ class WireWriter {
     U32(static_cast<uint32_t>(v.size()));
     for (uint64_t x : v) U64(x);
   }
-  void F64Vec(const std::vector<double>& v) {
-    U32(static_cast<uint32_t>(v.size()));
-    for (double x : v) F64(x);
+  // A block of `n` bytes, copied verbatim: fixed-width values in host
+  // (= wire) byte order.
+  void Bytes(const void* data, size_t n) {
+    buf_.append(static_cast<const char*>(data), n);
   }
 
   const std::string& str() const& { return buf_; }
@@ -127,11 +138,7 @@ class WireWriter {
  private:
   template <typename T>
   void AppendLe(T v) {
-    char bytes[sizeof(T)];
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-    buf_.append(bytes, sizeof(T));
+    buf_.append(reinterpret_cast<const char*>(&v), sizeof(T));
   }
 
   std::string buf_;
@@ -184,13 +191,15 @@ class WireReader {
     for (uint32_t i = 0; i < n; ++i) v.push_back(U64());
     return v;
   }
-  std::vector<double> F64Vec() {
-    uint32_t n = U32();
-    if (!NeedElems(n, 8)) return {};
-    std::vector<double> v;
-    v.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) v.push_back(F64());
-    return v;
+
+  // Copies the next `n` bytes into `out` (a block of fixed-width values
+  // in host = wire byte order). A short payload poisons the reader and
+  // leaves `out` untouched.
+  bool Bytes(void* out, size_t n) {
+    if (!Need(n)) return false;
+    if (n > 0) std::memcpy(out, data_.data() + pos_, n);
+    pos_ += n;
+    return true;
   }
 
   // Guards a count prefix before a loop of per-element decodes whose
@@ -225,11 +234,8 @@ class WireReader {
   template <typename T>
   T ReadLe() {
     if (!Need(sizeof(T))) return 0;
-    T v = 0;
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
+    T v;
+    std::memcpy(&v, data_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     return v;
   }

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -134,15 +137,14 @@ TEST(FrameTest, VersionSkewPoisons) {
   EXPECT_FALSE(decoder.ok());
 }
 
-TEST(FrameTest, ResourceClaimGenerationBumpedWireVersion) {
-  // The fair-share release replaced the flat tenant_id/priority pair
-  // with ResourceClaim{pool_path, priority, weight_hint} and stamped
-  // pool_path on the subquery/tree-merge/coordinate envelopes, so the
-  // frame version moved to 3 (2 was the planner generation). An
-  // older peer's frames must be rejected at the frame layer — never
+TEST(FrameTest, BlockGroupTablesBumpedWireVersion) {
+  // Query results and client rows moved from per-field groups to a
+  // header plus key and state blocks, so the frame version moved to 4
+  // (3 was the ResourceClaim generation, 2 the planner one). An older
+  // peer's frames must be rejected at the frame layer — never
   // field-misaligned.
-  EXPECT_EQ(3, net::kWireVersion);
-  for (uint8_t old_version : {1, 2}) {
+  EXPECT_EQ(4, net::kWireVersion);
+  for (uint8_t old_version : {1, 2, 3}) {
     std::string bytes = net::EncodeFrame(net::FrameType::kSubqueryRequest, 3,
                                          "payload from an old peer");
     bytes[4] = static_cast<char>(old_version);
@@ -349,29 +351,44 @@ TEST(WireDifferentialTest, QueryResultRoundTripsByteStable) {
 }
 
 // A QueryResult payload built field by field: num_aggs, the four scan
-// counters, then per group a key (count + values) and its states.
-struct RawGroup {
-  std::vector<uint32_t> key;
-  uint32_t num_states;
+// counters, num_groups and arity as given, then the key block as given
+// and `num_states` states.
+struct RawResult {
+  uint32_t num_aggs = 1;
+  uint32_t num_groups = 0;
+  uint32_t arity = 0;
+  std::vector<uint32_t> keys;
+  size_t num_states = 0;
 };
 
-std::string RawQueryResult(uint32_t num_aggs,
-                           const std::vector<RawGroup>& groups) {
+std::string RawQueryResult(const RawResult& raw) {
   net::WireWriter w;
-  w.U32(num_aggs);
+  w.U32(raw.num_aggs);
   for (int c = 0; c < 4; ++c) w.I64(0);
-  w.U32(static_cast<uint32_t>(groups.size()));
-  for (const RawGroup& g : groups) {
-    w.U32Vec(g.key);
-    w.U32(g.num_states);
-    for (uint32_t a = 0; a < g.num_states; ++a) {
-      w.F64(1.0);
-      w.I64(1);
-      w.F64(1.0);
-      w.F64(1.0);
-    }
+  w.U32(raw.num_groups);
+  w.U32(raw.arity);
+  for (uint32_t k : raw.keys) w.U32(k);
+  for (size_t s = 0; s < raw.num_states; ++s) {
+    w.F64(1.0);
+    w.I64(1);
+    w.F64(1.0);
+    w.F64(1.0);
   }
   return std::move(w).str();
+}
+
+// The well-formed payload of `keys` (one arity), num_aggs states each.
+RawResult RawGroups(uint32_t num_aggs,
+                    const std::vector<std::vector<uint32_t>>& keys) {
+  RawResult raw;
+  raw.num_aggs = num_aggs;
+  raw.num_groups = static_cast<uint32_t>(keys.size());
+  raw.arity = keys.empty() ? 0 : static_cast<uint32_t>(keys.front().size());
+  for (const auto& key : keys) {
+    raw.keys.insert(raw.keys.end(), key.begin(), key.end());
+  }
+  raw.num_states = keys.size() * num_aggs;
+  return raw;
 }
 
 Status DecodeRawResult(const std::string& bytes) {
@@ -388,51 +405,130 @@ void ExpectMalformed(const std::string& bytes, const char* what) {
 
 TEST(WireQueryResultTest, WellFormedPayloadDecodes) {
   const std::string bytes =
-      RawQueryResult(2, {{{1, 2}, 2}, {{1, 3}, 2}, {{2, 0}, 2}});
+      RawQueryResult(RawGroups(2, {{1, 2}, {1, 3}, {2, 0}}));
   net::WireReader r(bytes);
   auto decoded = cubrick::wire::DecodeQueryResult(r);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(decoded->num_groups(), 3u);
   EXPECT_EQ(decoded->groups().arity(), 2u);
+  EXPECT_EQ((std::vector<uint32_t>{1, 3}),
+            std::vector<uint32_t>(decoded->groups().key(1).begin(),
+                                  decoded->groups().key(1).end()));
 }
 
 TEST(WireQueryResultTest, RejectsStateCountOtherThanNumAggs) {
-  // More states than aggregations used to write past the group's state
-  // vector; fewer left it short.
-  ExpectMalformed(RawQueryResult(1, {{{7}, 2}}), "2 states, num_aggs 1");
-  ExpectMalformed(RawQueryResult(3, {{{7}, 3}, {{8}, 1}}),
-                  "1 state, num_aggs 3");
-  ExpectMalformed(RawQueryResult(0, {{{7}, 1}}), "1 state, num_aggs 0");
+  // Fewer states than num_aggs per group: the state block runs past the
+  // payload.
+  RawResult short_states = RawGroups(3, {{7}, {8}});
+  short_states.num_states = 4;
+  ExpectMalformed(RawQueryResult(short_states),
+                  "4 states, 2 groups, num_aggs 3");
+  // Groups without aggregations carry no states.
+  RawResult no_aggs = RawGroups(1, {{7}});
+  no_aggs.num_aggs = 0;
+  ExpectMalformed(RawQueryResult(no_aggs), "1 state, num_aggs 0");
+  no_aggs.num_states = 0;
+  ExpectMalformed(RawQueryResult(no_aggs), "no states, num_aggs 0");
+  // More states than num_aggs: the extra bytes are left unread, which
+  // every envelope rejects as trailing garbage.
+  RawResult extra = RawGroups(1, {{7}});
+  extra.num_states = 2;
+  const std::string bytes = RawQueryResult(extra);
+  net::WireReader r(bytes);
+  auto decoded = cubrick::wire::DecodeQueryResult(r);
+  EXPECT_TRUE(!decoded.ok() || !r.exhausted());
 }
 
 TEST(WireQueryResultTest, RejectsHugeNumAggsWithoutSizingGroups) {
   // num_aggs is a peer count: it must not size any group's states.
-  ExpectMalformed(RawQueryResult(0xffffffffu, {{{7}, 1}}), "forged num_aggs");
-  ExpectMalformed(RawQueryResult(1u << 30, {{{7}, 0}}), "forged num_aggs");
+  RawResult forged = RawGroups(1, {{7}});
+  forged.num_aggs = 0xffffffffu;
+  ExpectMalformed(RawQueryResult(forged), "forged num_aggs");
+  forged.num_aggs = 1u << 30;
+  forged.num_states = 0;
+  ExpectMalformed(RawQueryResult(forged), "forged num_aggs");
 }
 
-TEST(WireQueryResultTest, RejectsVaryingKeyArity) {
-  ExpectMalformed(RawQueryResult(1, {{{1}, 1}, {{2, 0}, 1}}), "arity 1 then 2");
-  ExpectMalformed(RawQueryResult(1, {{{1, 5}, 1}, {{2}, 1}}), "arity 2 then 1");
+TEST(WireQueryResultTest, RejectsKeyBlockPastPayload) {
+  // arity x groups runs past the payload: more groups than written...
+  RawResult more_groups = RawGroups(1, {{1}, {2}});
+  more_groups.num_groups = 3;
+  ExpectMalformed(RawQueryResult(more_groups), "3 groups, 2 written");
+  // ...a longer key than written...
+  RawResult wider = RawGroups(1, {{1}, {2}});
+  wider.arity = 3;
+  ExpectMalformed(RawQueryResult(wider), "arity 3, keys of 1 written");
+  // ...a forged arity, and an arity without any group.
+  wider.arity = 0xffffffffu;
+  ExpectMalformed(RawQueryResult(wider), "forged arity");
+  RawResult empty = RawGroups(1, {});
+  empty.arity = 2;
+  ExpectMalformed(RawQueryResult(empty), "arity without groups");
+}
+
+TEST(WireQueryResultTest, RejectsCountsWhoseProductWraps) {
+  // num_groups * (4 * arity + 32 * num_aggs) = 2^31 * 2^33 = 2^64: the
+  // product wraps to exactly 0 bytes, which a check by multiplication
+  // would pass. The decoder divides, and refuses before it allocates
+  // (an allocation that size would abort under the sanitizers).
+  RawResult wrapped;
+  wrapped.num_aggs = 1;
+  wrapped.num_groups = 0x80000000u;
+  wrapped.arity = 0x7ffffff8u;
+  ExpectMalformed(RawQueryResult(wrapped), "product wraps to 0");
+  wrapped.keys = {1, 2, 3, 4};
+  ExpectMalformed(RawQueryResult(wrapped), "product wraps, 16 bytes follow");
 }
 
 TEST(WireQueryResultTest, RejectsUnsortedAndDuplicateKeys) {
-  ExpectMalformed(RawQueryResult(1, {{{5}, 1}, {{3}, 1}}), "descending keys");
-  ExpectMalformed(RawQueryResult(1, {{{3, 1}, 1}, {{3, 1}, 1}}),
+  ExpectMalformed(RawQueryResult(RawGroups(1, {{5}, {3}})), "descending keys");
+  ExpectMalformed(RawQueryResult(RawGroups(1, {{3, 1}, {3, 1}})),
                   "duplicate keys");
-  ExpectMalformed(RawQueryResult(1, {{{}, 1}, {{}, 1}}),
+  ExpectMalformed(RawQueryResult(RawGroups(1, {{}, {}})),
                   "duplicate empty keys");
 }
 
 TEST(WireQueryResultTest, TruncationAtEveryByteRejected) {
   const std::string bytes =
-      RawQueryResult(2, {{{1, 2}, 2}, {{1, 3}, 2}, {{2, 0}, 2}});
+      RawQueryResult(RawGroups(2, {{1, 2}, {1, 3}, {2, 0}}));
   for (size_t len = 0; len < bytes.size(); ++len) {
     net::WireReader r(std::string_view(bytes).substr(0, len));
     auto decoded = cubrick::wire::DecodeQueryResult(r);
     EXPECT_TRUE(!decoded.ok() || !r.exhausted()) << "prefix " << len;
   }
+}
+
+TEST(WireQueryResultTest, DecodeFoldsIntoDefaultStates) {
+  // A peer's states decode as a merge into an empty result makes them:
+  // a -0.0 sum becomes +0.0 and a NaN min/max keeps the identity.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  net::WireWriter w;
+  w.U32(1);
+  for (int c = 0; c < 4; ++c) w.I64(0);
+  w.U32(1);
+  w.U32(1);
+  w.U32(9);
+  w.F64(-0.0);
+  w.I64(3);
+  w.F64(nan);
+  w.F64(nan);
+  net::WireReader r(w.str());
+  auto decoded = cubrick::wire::DecodeQueryResult(r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  cubrick::AggState expected;
+  cubrick::AggState peer;
+  peer.sum = -0.0;
+  peer.count = 3;
+  peer.min = nan;
+  peer.max = nan;
+  expected.Merge(peer);
+  const cubrick::AggState& got = decoded->groups().states(0)[0];
+  EXPECT_EQ(0, std::memcmp(&expected, &got, sizeof(got)));
+  EXPECT_FALSE(std::signbit(got.sum));
+  EXPECT_EQ(3, got.count);
+  EXPECT_EQ(std::numeric_limits<double>::infinity(), got.min);
+  EXPECT_EQ(-std::numeric_limits<double>::infinity(), got.max);
 }
 
 TEST(WireDifferentialTest, SubqueryEnvelopeRoundTripsByteStable) {
@@ -786,12 +882,15 @@ TEST(WireDifferentialTest, ClientMessagesRoundTripByteStable) {
     EXPECT_EQ(bytes, cubrick::wire::EncodeClientQuery(*decoded));
 
     cubrick::wire::ClientRowsEnvelope rows;
+    // The rows of one result share an arity and a value count.
+    const uint64_t arity = rng.NextBounded(4);
+    const uint64_t num_values = 1 + rng.NextBounded(3);
     for (uint64_t r = 0, n = rng.NextBounded(20); r < n; ++r) {
       cubrick::ResultRow row;
-      for (uint64_t k = 0, m = rng.NextBounded(4); k < m; ++k) {
+      for (uint64_t k = 0; k < arity; ++k) {
         row.key.push_back(static_cast<uint32_t>(rng.Next()));
       }
-      for (uint64_t v = 0, m = 1 + rng.NextBounded(3); v < m; ++v) {
+      for (uint64_t v = 0; v < num_values; ++v) {
         row.values.push_back(rng.NextDouble() * 1e9 - 5e8);
       }
       rows.rows.push_back(std::move(row));
@@ -807,6 +906,233 @@ TEST(WireDifferentialTest, ClientMessagesRoundTripByteStable) {
     EXPECT_FALSE(
         cubrick::wire::DecodeClientRows(rbytes.substr(0, rbytes.size() / 3))
             .ok());
+  }
+}
+
+// Client rows as raw fields: n, arity and num_values as given, then
+// `keys` and `values` as the two blocks.
+std::string RawClientRows(uint32_t n, uint32_t arity, uint32_t num_values,
+                          const std::vector<uint32_t>& keys,
+                          const std::vector<double>& values) {
+  net::WireWriter w;
+  w.U32(n);
+  w.U32(arity);
+  w.U32(num_values);
+  for (uint32_t k : keys) w.U32(k);
+  for (double v : values) w.F64(v);
+  return std::move(w).str();
+}
+
+void ExpectRowsMalformed(const std::string& bytes, const char* what) {
+  net::WireReader r(bytes);
+  const Status status = cubrick::wire::DecodeResultRows(r).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+  EXPECT_NE(status.message().find("malformed"), std::string::npos)
+      << what << ": " << status.ToString();
+}
+
+TEST(WireClientRowsTest, BlocksDecodeRowByRow) {
+  const std::string bytes =
+      RawClientRows(2, 2, 1, {1, 2, 3, 4}, {0.5, -1.5});
+  net::WireReader r(bytes);
+  auto rows = cubrick::wire::DecodeResultRows(r);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_TRUE(r.exhausted());
+  ASSERT_EQ(2u, rows->size());
+  EXPECT_EQ((std::vector<uint32_t>{3, 4}), (*rows)[1].key);
+  EXPECT_EQ((std::vector<double>{-1.5}), (*rows)[1].values);
+}
+
+TEST(WireClientRowsTest, RejectsForgedCounts) {
+  ExpectRowsMalformed(RawClientRows(3, 1, 1, {1, 2}, {1, 2}),
+                      "3 rows, 2 written");
+  ExpectRowsMalformed(RawClientRows(1, 0, 0, {}, {}), "row without values");
+  ExpectRowsMalformed(RawClientRows(0xffffffffu, 0, 0, {}, {}),
+                      "forged count, empty rows");
+  ExpectRowsMalformed(RawClientRows(0, 1, 1, {}, {}), "shape without rows");
+  ExpectRowsMalformed(RawClientRows(1, 0xffffffffu, 1, {1}, {1}),
+                      "forged arity");
+  // n * (4 * arity + 8 * num_values) = 2^31 * 2^33 wraps to 0 bytes.
+  ExpectRowsMalformed(RawClientRows(0x80000000u, 0x7ffffffeu, 1, {}, {}),
+                      "product wraps");
+}
+
+TEST(WireClientRowsTest, RowsOfDifferentShapesAreRefusedNotMisaligned) {
+  // Key sizes 1 and 3 would fill a 2-wide key block exactly; the encoder
+  // must not let them decode as two 2-wide rows.
+  cubrick::wire::ClientRowsEnvelope envelope;
+  envelope.rows = {{{1}, {1.0}}, {{2, 3, 4}, {2.0}}};
+  EXPECT_FALSE(
+      cubrick::wire::DecodeClientRows(cubrick::wire::EncodeClientRows(envelope))
+          .ok());
+  envelope.rows = {{{1}, {1.0}}, {{2}, {2.0, 3.0}}};
+  EXPECT_FALSE(
+      cubrick::wire::DecodeClientRows(cubrick::wire::EncodeClientRows(envelope))
+          .ok());
+}
+
+TEST(WireClientRowsTest, TruncationAtEveryByteRejected) {
+  const std::string bytes =
+      RawClientRows(2, 2, 1, {1, 2, 3, 4}, {0.5, -1.5});
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    net::WireReader r(std::string_view(bytes).substr(0, len));
+    auto rows = cubrick::wire::DecodeResultRows(r);
+    EXPECT_TRUE(!rows.ok() || !r.exhausted()) << "prefix " << len;
+  }
+}
+
+// --- seeded mutation: valid payloads, mutated; every mutant decodes or
+// is refused as malformed (never a crash, an over-allocation or another
+// status) ---
+
+struct MutationTarget {
+  const char* name;
+  std::function<Status(std::string_view)> decode;
+  // Valid payloads and, per payload, the offsets of its u32 counts.
+  std::vector<std::string> payloads;
+  std::vector<std::vector<size_t>> counts;
+};
+
+// Offsets of a QueryResult's num_aggs, num_groups and arity fields.
+std::vector<size_t> ResultCounts(size_t at) { return {at, at + 36, at + 40}; }
+
+size_t EncodedResultBytes(const QueryResult& result) {
+  net::WireWriter w;
+  cubrick::wire::EncodeQueryResult(w, result);
+  return w.size();
+}
+
+std::vector<MutationTarget> MutationTargets(Rng& rng) {
+  std::vector<MutationTarget> targets(5);
+  targets[0].name = "QueryResult";
+  targets[0].decode = [](std::string_view bytes) {
+    net::WireReader r(bytes);
+    return cubrick::wire::DecodeQueryResult(r).status();
+  };
+  targets[1].name = "SubqueryResponse";
+  targets[1].decode = [](std::string_view bytes) {
+    return cubrick::wire::DecodeSubqueryResponse(bytes).status();
+  };
+  targets[2].name = "TreeMergeResponse";
+  targets[2].decode = [](std::string_view bytes) {
+    return cubrick::wire::DecodeTreeMergeResponse(bytes).status();
+  };
+  targets[3].name = "CoordinateResponse";
+  targets[3].decode = [](std::string_view bytes) {
+    return cubrick::wire::DecodeCoordinateResponse(bytes).status();
+  };
+  targets[4].name = "ClientRows";
+  targets[4].decode = [](std::string_view bytes) {
+    return cubrick::wire::DecodeClientRows(bytes).status();
+  };
+  for (int i = 0; i < 8; ++i) {
+    const QueryResult result = RandomResult(rng, 1 + rng.NextBounded(3));
+    net::WireWriter w;
+    cubrick::wire::EncodeQueryResult(w, result);
+    targets[0].payloads.push_back(std::move(w).str());
+    targets[0].counts.push_back(ResultCounts(0));
+
+    cubrick::PartialResult partial;
+    partial.result = result;
+    partial.epoch = rng.Next();
+    targets[1].payloads.push_back(
+        cubrick::wire::EncodeSubqueryResponse(partial, "tel"));
+    targets[1].counts.push_back(ResultCounts(0));
+
+    cubrick::wire::TreeMergeResult merged;
+    merged.result = result;
+    merged.epochs = {rng.Next(), rng.Next()};
+    merged.forward_hops = {0, 1};
+    const std::string tree = cubrick::wire::EncodeTreeMergeResponse(merged);
+    const size_t tree_result = EncodedResultBytes(result);
+    std::vector<size_t> tree_counts = ResultCounts(0);
+    tree_counts.push_back(tree_result);       // epochs count
+    tree_counts.push_back(tree_result + 20);  // forward_hops count
+    targets[2].payloads.push_back(tree);
+    targets[2].counts.push_back(tree_counts);
+
+    cubrick::DistributedOutcome outcome;
+    outcome.result = result;
+    outcome.num_partitions = 2;
+    outcome.partition_epochs = {rng.Next(), rng.Next()};
+    const std::string coordinate =
+        cubrick::wire::EncodeCoordinateResponse(outcome);
+    // The result sits before the telemetry string (4 bytes, empty).
+    targets[3].payloads.push_back(coordinate);
+    targets[3].counts.push_back(
+        ResultCounts(coordinate.size() - 4 - tree_result));
+
+    cubrick::Query query;
+    query.aggregations.resize(result.num_aggregations());
+    query.order_by = 0;
+    query.limit = static_cast<uint32_t>(rng.NextBounded(4));
+    cubrick::wire::ClientRowsEnvelope rows;
+    rows.rows = cubrick::MaterializeRows(result, query);
+    rows.profile_text = "profile";
+    targets[4].payloads.push_back(cubrick::wire::EncodeClientRows(rows));
+    targets[4].counts.push_back({0, 4, 8});
+  }
+  return targets;
+}
+
+std::string Mutate(Rng& rng, const std::string& payload,
+                   const std::vector<size_t>& counts) {
+  std::string m = payload;
+  if (m.empty()) return m;
+  switch (rng.NextBounded(5)) {
+    case 0:  // bit flips
+      for (uint64_t f = 0, n = 1 + rng.NextBounded(3); f < n; ++f) {
+        m[rng.NextBounded(m.size())] ^=
+            static_cast<char>(1u << rng.NextBounded(8));
+      }
+      break;
+    case 1:  // byte overwrites
+      for (uint64_t f = 0, n = 1 + rng.NextBounded(3); f < n; ++f) {
+        m[rng.NextBounded(m.size())] = static_cast<char>(rng.Next() & 0xff);
+      }
+      break;
+    case 2:  // truncation
+      m.resize(rng.NextBounded(m.size()));
+      break;
+    default: {  // a count (or any 4 bytes) set to 0, 1 or UINT32_MAX
+      static constexpr uint32_t kValues[] = {0, 1, 0xffffffffu};
+      const uint32_t v = kValues[rng.NextBounded(3)];
+      size_t at = rng.NextBool(0.75) ? counts[rng.NextBounded(counts.size())]
+                                     : rng.NextBounded(m.size());
+      if (at + 4 > m.size()) at = m.size() - std::min<size_t>(m.size(), 4);
+      std::memcpy(&m[at], &v, std::min<size_t>(m.size() - at, 4));
+      break;
+    }
+  }
+  return m;
+}
+
+TEST(WireMutationTest, MutantsDecodeOrAreRefusedAsMalformed) {
+  // A fixed budget (a few seconds under the sanitizers) from a fixed
+  // seed: a failure names the mutant reproducibly.
+  constexpr int kMutantsPerTarget = 200000;
+  Rng rng(0x3A7A7E);
+  for (const MutationTarget& target : MutationTargets(rng)) {
+    for (const std::string& payload : target.payloads) {
+      ASSERT_TRUE(target.decode(payload).ok()) << target.name;
+    }
+    int accepted = 0;
+    for (int i = 0; i < kMutantsPerTarget; ++i) {
+      const size_t p = rng.NextBounded(target.payloads.size());
+      const std::string mutant =
+          Mutate(rng, target.payloads[p], target.counts[p]);
+      const Status status = target.decode(mutant);
+      if (status.ok()) {
+        ++accepted;
+        continue;
+      }
+      ASSERT_EQ(StatusCode::kInvalidArgument, status.code())
+          << target.name << " mutant " << i << ": " << status.ToString();
+      ASSERT_NE(std::string::npos, status.message().find("malformed"))
+          << target.name << " mutant " << i << ": " << status.ToString();
+    }
+    // Most mutants must be caught; an accepted one is a valid message.
+    EXPECT_LT(accepted, kMutantsPerTarget) << target.name;
   }
 }
 
