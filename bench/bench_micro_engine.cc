@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -21,12 +22,14 @@
 #include "cubrick/partition.h"
 #include "cubrick/server.h"
 #include "cubrick/shard_mapper.h"
+#include "cubrick/vec_scan.h"
 #include "cubrick/wire.h"
 #include "sim/simulation.h"
 #include "exec/morsel.h"
 #include "exec/thread_pool.h"
 #include "net/wire.h"
 #include "obs/trace.h"
+#include "vec/scan_kernel.h"
 #include "workload/generators.h"
 
 using namespace scalewall;
@@ -154,6 +157,85 @@ void BM_PartitionGroupByWideInterpreted(benchmark::State& state) {
   RunWideGroupBy(state, exec::ScanPath::kInterpreted);
 }
 BENCHMARK(BM_PartitionGroupByWideInterpreted);
+
+// Filtered wide group-by shaped like perfbench's wide_groupby
+// partitions: 62,500 rows over day (32 values, 8 per bucket), region (8,
+// 2 per bucket) and product (64, 16 per bucket), so 64 bricks of ~980
+// rows; two range filters, GROUP BY all three (a 16,384-key packed
+// space) and two sums. Each iteration scans the bricks a partition scan
+// would not prune once with each scan-kernel body, in alternating
+// order, through one compiled plan per body (state, scan and flush), so
+// host drift lands on both bodies alike. The counters are each body's
+// median time and their ratio, which the perf gate keeps
+// (scripts/check_perf_regression.py).
+void BM_WideFilteredScanBodies(benchmark::State& state) {
+  if (vec::Avx512ScanKernel() == nullptr) {
+    state.SkipWithError("skipped: no AVX-512F on this CPU");
+    return;
+  }
+  const cubrick::TableSchema schema{
+      {{"day", 32, 8}, {"region", 8, 2}, {"product", 64, 16}},
+      {{"spend"}, {"clicks"}}};
+  cubrick::TablePartition part("bench", 0, schema);
+  Rng rng(7);
+  for (const auto& row : workload::GenerateRows(schema, 62500, rng)) {
+    part.Insert(row);
+  }
+  cubrick::Query q;
+  q.table = "bench";
+  q.filters = {{0, 5, 12}, {1, 1, 6}};
+  q.group_by = {0, 1, 2};
+  q.aggregations = {{0, cubrick::AggOp::kSum}, {1, cubrick::AggOp::kSum}};
+  std::vector<cubrick::Brick*> bricks;
+  int64_t rows = 0;
+  for (auto& [id, brick] : part.mutable_bricks()) {
+    bool overlaps = true;
+    for (const cubrick::FilterRange& f : q.filters) {
+      const uint32_t size = schema.dimensions[f.dimension].range_size;
+      const uint32_t lo = cubrick::BrickBucket(schema, id, f.dimension) * size;
+      overlaps = overlaps && lo <= f.hi && lo + size - 1 >= f.lo;
+    }
+    if (!overlaps) continue;
+    bricks.push_back(&brick);
+    rows += static_cast<int64_t>(brick.num_rows());
+  }
+  // [0] portable, [1] AVX-512.
+  cubrick::VecScanPlan plans[2] = {
+      cubrick::BuildVecScanPlan(schema, q, nullptr),
+      cubrick::BuildVecScanPlan(schema, q, nullptr)};
+  plans[0].kernel = &vec::PortableScanKernel();
+  plans[1].kernel = vec::Avx512ScanKernel();
+  std::vector<double> us[2];
+  size_t turn = 0;
+  for (auto _ : state) {
+    for (size_t i = 0; i < 2; ++i) {
+      const size_t body = (turn + i) % 2;
+      const auto start = std::chrono::steady_clock::now();
+      cubrick::VecExecState st(plans[body]);
+      for (cubrick::Brick* brick : bricks) {
+        brick->ScanRangeVec(plans[body], st, nullptr, 0, brick->num_rows());
+      }
+      cubrick::QueryResult result(2);
+      st.Flush(result);
+      benchmark::DoNotOptimize(result);
+      us[body].push_back(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+    }
+    ++turn;
+  }
+  auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  const double portable_us = median(us[0]);
+  const double avx512_us = median(us[1]);
+  state.counters["portable_us"] = portable_us;
+  state.counters["avx512_us"] = avx512_us;
+  state.counters["speedup"] = portable_us / avx512_us;
+  state.SetItemsProcessed(state.iterations() * 2 * rows);
+}
+BENCHMARK(BM_WideFilteredScanBodies);
 
 void BM_PartitionGroupByParallel(benchmark::State& state) {
   cubrick::TablePartition part = MakePartition(100000);
@@ -604,6 +686,10 @@ int main(int argc, char** argv) {
   argc = kept;
   if (!trace_path.empty()) return DumpQueryTrace(trace_path);
 
+  // The scan-kernel body this CPU runs (scalewall_scan_kernel_info), in
+  // the benchmark header and the JSON context.
+  benchmark::AddCustomContext("scan_kernel",
+                              vec::ScanIsaName(vec::ActiveScanKernel().isa));
   RunThreadScalingSeries();
   // Emit machine-readable results by default so tooling (the perf
   // regression gate) can parse them; explicit --benchmark_out wins.

@@ -22,6 +22,14 @@ Gated pairs:
     only on hosts with at least 4 hardware threads; on smaller hosts the
     pair is skipped with the reason printed
 
+Gated self-measured ratios (a benchmark that runs both sides in every
+iteration, alternating, and reports their ratio as a counter, so host
+drift lands on both sides alike):
+  - the AVX-512 scan-kernel body vs the portable body on a filtered wide
+    group-by (BM_WideFilteredScanBodies, counter "speedup"), only on CPUs
+    with AVX-512F: elsewhere the benchmark skips itself with an error
+    starting "skipped:" and the ratio is skipped with that reason printed
+
 The gate fails when a measured speedup drops below the absolute floor
 or below (1 - tolerance) of the committed baseline speedup.
 
@@ -53,6 +61,11 @@ GATED = [
     ("BM_PartitionGroupByParallel/4", "BM_PartitionGroupByParallel/1", 4),
 ]
 
+COUNTER_GATED = [
+    # (benchmark, counter holding its fast-path speedup)
+    ("BM_WideFilteredScanBodies", "speedup"),
+]
+
 
 REPETITIONS = 5
 
@@ -75,8 +88,9 @@ def load_benchmarks(path):
 
 
 def run_bench(binary, out_path):
-    bench_filter = "|".join(
-        "^%s$" % name for fast, slow, _ in GATED for name in (fast, slow))
+    names = [name for fast, slow, _ in GATED for name in (fast, slow)]
+    names += [name for name, _ in COUNTER_GATED]
+    bench_filter = "|".join("^%s$" % name for name in names)
     # Repetitions run in random interleaving, and each benchmark counts at
     # its median: a burst of load from a neighbour on a shared host lands
     # on one repetition of one side of a pair, not on a whole side.
@@ -134,6 +148,23 @@ def main():
 
     failures = []
     threads = os.cpu_count() or 1
+
+    def check(name, speedup, reference):
+        base = baseline.get(name, {})
+        floor = base.get("min_speedup", 1.0)
+        expected = base.get("speedup_vs_interpreted")
+        required = floor
+        if expected is not None:
+            required = max(required, expected * (1.0 - args.tolerance))
+        status = "PASS" if speedup >= required else "FAIL"
+        print("%s: %s %.2fx %s (required >= %.2fx, baseline %s)" %
+              (status, name, speedup, reference, required,
+               "%.2fx" % expected if expected is not None else "n/a"))
+        if speedup < required:
+            failures.append(
+                "%s speedup %.2fx below required %.2fx"
+                % (name, speedup, required))
+
     for vec_name, interp_name, min_threads in GATED:
         if threads < min_threads:
             print("SKIP: %s vs %s needs >= %d hardware threads, host has %d"
@@ -149,21 +180,22 @@ def main():
             failures.append("%s and %s use different time units"
                             % (vec_name, interp_name))
             continue
-        speedup = interp["real_time"] / vec["real_time"]
-        base = baseline.get(vec_name, {})
-        floor = base.get("min_speedup", 1.0)
-        expected = base.get("speedup_vs_interpreted")
-        required = floor
-        if expected is not None:
-            required = max(required, expected * (1.0 - args.tolerance))
-        status = "PASS" if speedup >= required else "FAIL"
-        print("%s: %s %.2fx vs %s (required >= %.2fx, baseline %s)" %
-              (status, vec_name, speedup, interp_name, required,
-               "%.2fx" % expected if expected is not None else "n/a"))
-        if speedup < required:
-            failures.append(
-                "%s speedup %.2fx below required %.2fx"
-                % (vec_name, speedup, required))
+        check(vec_name, interp["real_time"] / vec["real_time"],
+              "vs %s" % interp_name)
+    for name, counter in COUNTER_GATED:
+        bench = results.get(name)
+        if bench is None:
+            failures.append("missing benchmark results for %s" % name)
+            continue
+        message = bench.get("error_message", "")
+        if bench.get("error_occurred") and message.startswith("skipped:"):
+            print("SKIP: %s: %s" % (name, message))
+            continue
+        if bench.get("error_occurred") or counter not in bench:
+            failures.append("%s has no %s counter (%s)"
+                            % (name, counter, message or "no error"))
+            continue
+        check(name, bench[counter], "(counter %s)" % counter)
 
     if failures:
         for f in failures:

@@ -130,8 +130,9 @@ class Brick {
   // evaluating each predicate once per run, and returns true when no row
   // can pass — the caller may then skip the brick without decompressing
   // it. Returns false for uncompressed/SSD bricks, filterless plans, and
-  // on any decode problem (never-skip is always safe). Takes the
-  // decompression latch, so it is safe against concurrent state changes.
+  // on any decode problem (never-skip is always safe). Reads the state
+  // lock-free and takes the decompression latch only for a compressed
+  // brick, so it is safe against concurrent state changes.
   bool CanSkipCompressed(const VecScanPlan& plan);
 
   // --- adaptive compression ---

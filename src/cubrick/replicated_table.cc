@@ -50,9 +50,16 @@ Status ReplicatedTable::RestoreColumns(
   if (columns.size() != attributes_.size()) {
     return Status::InvalidArgument("restore: column count mismatch");
   }
-  for (const auto& column : columns) {
-    if (column.size() != key_cardinality_) {
+  for (size_t a = 0; a < columns.size(); ++a) {
+    if (columns[a].size() != key_cardinality_) {
       return Status::InvalidArgument("restore: column length mismatch");
+    }
+    for (uint32_t v : columns[a]) {
+      if (v != kNoAttribute && v >= attributes_[a].cardinality) {
+        return Status::InvalidArgument(
+            "restore: attribute value out of domain for " +
+            attributes_[a].name);
+      }
     }
   }
   columns_ = std::move(columns);

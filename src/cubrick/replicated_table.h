@@ -87,7 +87,9 @@ class ReplicatedTable {
   void set_epoch(uint64_t epoch) { epoch_ = epoch; }
 
   // Wire-decode restore: replaces all columns (each key_cardinality
-  // long, kNoAttribute where unset) and the entry count wholesale.
+  // long, kNoAttribute where unset) and the entry count wholesale. Every
+  // set value must lie in its attribute's domain, as Set() enforces: the
+  // vectorized scan sizes group-join slots by that cardinality.
   Status RestoreColumns(std::vector<std::vector<uint32_t>> columns,
                         size_t num_entries);
 

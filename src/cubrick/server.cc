@@ -6,6 +6,7 @@
 #include "admit/fair_share_tree.h"
 #include "common/logging.h"
 #include "cubrick/planner.h"
+#include "cubrick/vec_scan.h"
 
 namespace scalewall::cubrick {
 
@@ -66,6 +67,7 @@ CubrickServer::CubrickServer(sim::Simulation* simulation,
     result_cache_ =
         std::make_unique<PartialResultCache>(options_.result_cache_bytes);
   }
+  if (options_.metrics != nullptr) ExportScanKernelInfo(*options_.metrics);
 }
 
 PartialResultCache::Snapshot CubrickServer::ResultCacheSnapshot() const {

@@ -6,6 +6,7 @@
 
 #include "cubrick/brick.h"
 #include "cubrick/codec.h"
+#include "obs/metrics_registry.h"
 #include "vec/agg.h"
 
 namespace scalewall::cubrick {
@@ -68,16 +69,25 @@ void MixedRadix(const VecScanPlan& plan, const VecExecState& st,
   }
 }
 
-// Maps the chunk's packed keys to dense slots, growing the state array
-// to cover any new ones.
-void AssignPackedSlots(VecExecState& st, size_t n) {
-  st.slots.resize(n);
-  st.packed->Assign(st.packed_keys.data(), n, st.slots.data());
+// Maps the chunk's packed keys to dense slots in st.slots (which the
+// 32-bit keys may already occupy), growing the state array to cover any
+// new ones.
+template <typename Key>
+void AssignPackedSlots(VecExecState& st, const Key* keys, size_t n) {
+  if (st.slots.size() < n) st.slots.resize(n);
+  st.packed->Assign(keys, n, st.slots.data());
   const size_t needed = st.packed->num_slots() * st.plan->aggs.size();
   if (st.states.size() < needed) st.states.resize(needed);
 }
 
 }  // namespace
+
+void ExportScanKernelInfo(obs::MetricsRegistry& metrics) {
+  metrics
+      .GetGauge("scalewall_scan_kernel_info",
+                {{"isa", vec::ScanIsaName(vec::ActiveScanKernel().isa)}})
+      .Set(1);
+}
 
 HashedGroups::HashedGroups(size_t arity, size_t num_aggs)
     : index(arity), num_aggs(num_aggs) {}
@@ -157,6 +167,10 @@ VecScanPlan BuildVecScanPlan(const TableSchema& schema, const Query& query,
   } else {
     plan.mode = VecScanPlan::GroupMode::kPacked;
   }
+  plan.fused_keys = plan.mode != VecScanPlan::GroupMode::kHash &&
+                    plan.ins.empty() && plan.join_filters.empty() &&
+                    plan.group_joins.empty() &&
+                    plan.layout.total_slots <= UINT32_MAX;
   return plan;
 }
 
@@ -229,6 +243,24 @@ void Brick::ScanRangeVec(const VecScanPlan& plan, VecExecState& st,
                          size_t row_begin, size_t row_end) {
   EnsureUncompressed(decompressions);
   const size_t naggs = plan.aggs.size();
+  // The plan's columns on this brick, for the scan kernel and the
+  // accumulate pass.
+  st.range_cols.clear();
+  for (const VecScanPlan::RangeF& f : plan.ranges) {
+    st.range_cols.push_back({dims_[f.dim].data(), f.lo, f.hi});
+  }
+  st.key_cols.clear();
+  if (plan.fused_keys) {
+    for (size_t g = 0; g < plan.group_dims.size(); ++g) {
+      st.key_cols.push_back({dims_[plan.group_dims[g]].data(),
+                             static_cast<uint32_t>(plan.layout.strides[g])});
+    }
+  }
+  st.agg_cols.clear();
+  for (const VecScanPlan::AggSpec& spec : plan.aggs) {
+    st.agg_cols.push_back(spec.is_count ? nullptr
+                                        : metrics_[spec.metric].data());
+  }
   // Dense fast path: with no predicates and no group joins every row
   // survives, so no selection vector is materialized at all.
   const bool dense = !plan.has_filters() && plan.group_joins.empty();
@@ -284,7 +316,7 @@ void Brick::ScanRangeVec(const VecScanPlan& plan, VecExecState& st,
                                      dense_n, plan.layout.strides[g],
                                      st.packed_keys.data());
           }
-          AssignPackedSlots(st, dense_n);
+          AssignPackedSlots(st, st.packed_keys.data(), dense_n);
           break;
         case VecScanPlan::GroupMode::kHash:
           // Hash grouping stays scalar over the key assembly; fall
@@ -307,28 +339,26 @@ void Brick::ScanRangeVec(const VecScanPlan& plan, VecExecState& st,
       }
     }
 
-    // --- selection ---
+    // --- selection (+ fused keys) ---
+    // The scan kernel applies every range filter (all rows pass when
+    // there is none) unless an IN filter must seed the selection.
     vec::SelVec& sel = st.sel;
-    bool seeded = false;
-    for (const VecScanPlan::RangeF& f : plan.ranges) {
-      const uint32_t* col = dims_[f.dim].data();
-      if (!seeded) {
-        vec::SelRangeInit(col, b, e, f.lo, f.hi, sel);
-        seeded = true;
-      } else {
-        vec::SelRangeRefine(col, f.lo, f.hi, sel);
-      }
+    const bool ranges_seed = !plan.ranges.empty() || plan.ins.empty();
+    if (ranges_seed) {
+      const size_t room = (e - b) + vec::kSelectPad;
+      sel.resize(room);
+      if (plan.fused_keys && st.slots.size() < room) st.slots.resize(room);
+      sel.resize(plan.kernel->select_keys(
+          st.range_cols.data(), st.range_cols.size(), st.key_cols.data(),
+          st.key_cols.size(), b, e, sel.data(),
+          plan.fused_keys ? st.slots.data() : nullptr));
+    } else {
+      vec::SelInInit(dims_[plan.ins[0].dim].data(), b, e, plan.ins[0].set,
+                     sel);
     }
-    for (const VecScanPlan::InF& f : plan.ins) {
-      const uint32_t* col = dims_[f.dim].data();
-      if (!seeded) {
-        vec::SelInInit(col, b, e, f.set, sel);
-        seeded = true;
-      } else {
-        vec::SelInRefine(col, f.set, sel);
-      }
+    for (size_t i = ranges_seed ? 0 : 1; i < plan.ins.size(); ++i) {
+      vec::SelInRefine(dims_[plan.ins[i].dim].data(), plan.ins[i].set, sel);
     }
-    if (!seeded) vec::SelIota(b, e, sel);
     for (const VecScanPlan::JoinF& f : plan.join_filters) {
       vec::SelJoinRangeRefine(dims_[f.fact_dim].data(), f.attr_col,
                               f.key_domain, kNoAttribute, f.lo, f.hi, sel);
@@ -363,12 +393,19 @@ void Brick::ScanRangeVec(const VecScanPlan& plan, VecExecState& st,
     }
 
     if (plan.mode == VecScanPlan::GroupMode::kDirect) {
-      st.slots.assign(n, 0);
-      MixedRadix(plan, st, dims_, sel.data(), n, st.slots.data());
+      // Fused keys are the slots already.
+      if (!plan.fused_keys) {
+        st.slots.assign(n, 0);
+        MixedRadix(plan, st, dims_, sel.data(), n, st.slots.data());
+      }
     } else if (plan.mode == VecScanPlan::GroupMode::kPacked) {
-      st.packed_keys.assign(n, 0);
-      MixedRadix(plan, st, dims_, sel.data(), n, st.packed_keys.data());
-      AssignPackedSlots(st, n);
+      if (plan.fused_keys) {
+        AssignPackedSlots(st, st.slots.data(), n);
+      } else {
+        st.packed_keys.assign(n, 0);
+        MixedRadix(plan, st, dims_, sel.data(), n, st.packed_keys.data());
+        AssignPackedSlots(st, st.packed_keys.data(), n);
+      }
     } else {  // kHash
       st.slots.resize(n);
       const size_t ndims = plan.group_dims.size();
@@ -387,16 +424,8 @@ void Brick::ScanRangeVec(const VecScanPlan& plan, VecExecState& st,
       }
     }
 
-    for (size_t a = 0; a < naggs; ++a) {
-      const VecScanPlan::AggSpec& spec = plan.aggs[a];
-      if (spec.is_count) {
-        vec::AccumulateConst(st.states.data(), naggs, a, st.slots.data(), n,
-                             1.0);
-      } else {
-        vec::AccumulateColumn(st.states.data(), naggs, a, st.slots.data(),
-                              sel.data(), n, metrics_[spec.metric].data());
-      }
-    }
+    vec::AccumulateRows(st.states.data(), naggs, st.agg_cols.data(),
+                        st.slots.data(), sel.data(), n);
   }
   st.rows_scanned += static_cast<int64_t>(row_end - row_begin);
 }
@@ -417,6 +446,11 @@ struct RunCursor {
 
 bool Brick::CanSkipCompressed(const VecScanPlan& plan) {
   if (!plan.has_filters()) return false;
+  // Double-checked like EnsureUncompressed: most scanned bricks are
+  // uncompressed and answer without the latch.
+  if (state_.load(std::memory_order_acquire) != BrickState::kCompressed) {
+    return false;
+  }
   std::lock_guard<std::mutex> lock(decompress_mu_);
   if (state_.load(std::memory_order_acquire) != BrickState::kCompressed) {
     return false;

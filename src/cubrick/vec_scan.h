@@ -18,6 +18,10 @@
 //     integer hash; no per-row key assembly, no key memcmp);
 //   * kHash: otherwise — a vec::GroupKeyIndex over the assembled keys
 //     assigns dense slots.
+// Range filters (and, for kDirect/kPacked plans that only filter by
+// range, the group keys) are evaluated by the fused scan kernel
+// (vec/scan_kernel.h), whose body the CPU picks; IN and join filters
+// refine its selection.
 // A VecExecState accumulates any number of ScanRangeVec calls and is
 // flushed into a QueryResult at the end, in ascending key order
 // (QueryResult::MergeSortedGroups), reproducing the interpreter's
@@ -35,7 +39,12 @@
 #include "cubrick/schema.h"
 #include "vec/filter.h"
 #include "vec/group.h"
+#include "vec/scan_kernel.h"
 #include "vec/selvec.h"
+
+namespace scalewall::obs {
+class MetricsRegistry;
+}
 
 namespace scalewall::cubrick {
 
@@ -91,6 +100,13 @@ struct VecScanPlan {
   // Group-key arity: group_dims then group_joins, the interpreter's key
   // layout.
   size_t key_arity = 0;
+  // The scan kernel computes the group keys in its selection pass: a
+  // kDirect or kPacked plan with no IN filter, join filter or group
+  // join, over a key space below 2^32. Other plans take their keys from
+  // the column-at-a-time slot kernels.
+  bool fused_keys = false;
+  // The scan kernel body; BuildVecScanPlan leaves this CPU's.
+  const vec::ScanKernel* kernel = &vec::ActiveScanKernel();
 
   bool has_filters() const {
     return !ranges.empty() || !ins.empty() || !join_filters.empty();
@@ -103,6 +119,10 @@ struct VecScanPlan {
 // outlive the join context.
 VecScanPlan BuildVecScanPlan(const TableSchema& schema, const Query& query,
                              const JoinContext* join);
+
+// Sets scalewall_scan_kernel_info{isa="avx512|portable"} to 1: the scan
+// kernel body this process runs.
+void ExportScanKernelInfo(obs::MetricsRegistry& metrics);
 
 // Group states in slots assigned in first-seen order by a
 // vec::GroupKeyIndex, for keys that arrive in any order: the shuffle
@@ -139,10 +159,14 @@ struct VecExecState {
 
   // Per-chunk scratch (reused across chunks and bricks).
   vec::SelVec sel;
-  std::vector<uint32_t> slots;
-  std::vector<uint64_t> packed_keys;            // kPacked
+  vec::ScratchVec<uint32_t> slots;              // fused keys, then slots
+  std::vector<uint64_t> packed_keys;            // kPacked, unfused
   std::vector<std::vector<uint32_t>> gathered;  // one per group_join
   std::vector<uint32_t> key_scratch;
+  // Per-brick kernel inputs: the plan's columns resolved on one brick.
+  std::vector<vec::RangeColumn> range_cols;
+  std::vector<vec::KeyColumn> key_cols;  // fused_keys only
+  std::vector<const double*> agg_cols;   // nullptr = COUNT
 
   // Emits every populated group into `result` in ascending key order
   // (skipping untouched direct slots — the interpreter only creates

@@ -10,6 +10,7 @@
 
 #include "cubrick/net_service.h"
 #include "cubrick/planner.h"
+#include "cubrick/vec_scan.h"
 #include "net/event_loop.h"
 
 namespace scalewall::node {
@@ -157,7 +158,9 @@ ServerCore::ServerCore(NodeOptions options, obs::MetricsRegistry* metrics,
     : options_(std::move(options)),
       transport_(transport),
       decode_errors_(metrics),
-      dim_(BuildDimTable()) {}
+      dim_(BuildDimTable()) {
+  if (metrics != nullptr) cubrick::ExportScanKernelInfo(*metrics);
+}
 
 Status ServerCore::LoadPartitions() {
   for (uint32_t p = 0; p < options_.dataset.num_partitions; ++p) {

@@ -2,9 +2,9 @@
 //
 // Templated over the aggregation-state type (the engine instantiates
 // them with cubrick::AggState) so the *arithmetic* is byte-for-byte the
-// interpreter's Add(); only the loop structure changes: one tight pass
-// per aggregation over the chunk's surviving rows, states addressed by
-// precomputed slot — no per-row map lookups, no per-row dispatch.
+// interpreter's Add(); only the loop structure changes: tight passes
+// over the chunk's surviving rows, states addressed by precomputed
+// slot — no per-row map lookups, no per-row dispatch.
 //
 // Every kernel visits rows in selection order (ascending row index), so
 // each group's state receives the same values in the same order as a
@@ -18,19 +18,49 @@
 
 namespace scalewall::vec {
 
-// states[slots[i] * stride + offset].Add(column[rows[i]]) for each
-// selected row.
-template <typename State>
-inline void AccumulateColumn(State* states, size_t stride, size_t offset,
-                             const uint32_t* slots, const uint32_t* rows,
-                             size_t n, const double* column) {
+// Every aggregation of each selected row in one pass:
+// states[slots[i] * naggs + a].Add(columns[a][rows[i]]) for each
+// aggregation a, or Add(1.0) where columns[a] is null (COUNT). A row's
+// naggs states are adjacent, so the pass touches each slot's states
+// together; each state still receives its rows in selection order.
+template <size_t kAggs, typename State>
+inline void AccumulateRowsFixed(State* states, const double* const* columns,
+                                const uint32_t* slots, const uint32_t* rows,
+                                size_t n) {
+  const double* cols[kAggs];
+  for (size_t a = 0; a < kAggs; ++a) cols[a] = columns[a];
   for (size_t i = 0; i < n; ++i) {
-    states[static_cast<size_t>(slots[i]) * stride + offset].Add(
-        column[rows[i]]);
+    State* s = states + static_cast<size_t>(slots[i]) * kAggs;
+    const uint32_t row = rows[i];
+    for (size_t a = 0; a < kAggs; ++a) {
+      s[a].Add(cols[a] != nullptr ? cols[a][row] : 1.0);
+    }
   }
 }
 
-// COUNT: every selected row contributes the constant 1.0.
+template <typename State>
+inline void AccumulateRows(State* states, size_t naggs,
+                           const double* const* columns,
+                           const uint32_t* slots, const uint32_t* rows,
+                           size_t n) {
+  switch (naggs) {
+    case 1:
+      return AccumulateRowsFixed<1>(states, columns, slots, rows, n);
+    case 2:
+      return AccumulateRowsFixed<2>(states, columns, slots, rows, n);
+    case 3:
+      return AccumulateRowsFixed<3>(states, columns, slots, rows, n);
+    default:
+      for (size_t i = 0; i < n; ++i) {
+        State* s = states + static_cast<size_t>(slots[i]) * naggs;
+        for (size_t a = 0; a < naggs; ++a) {
+          s[a].Add(columns[a] != nullptr ? columns[a][rows[i]] : 1.0);
+        }
+      }
+  }
+}
+
+// COUNT over rows whose slots are given: each adds the constant 1.0.
 template <typename State>
 inline void AccumulateConst(State* states, size_t stride, size_t offset,
                             const uint32_t* slots, size_t n, double value) {

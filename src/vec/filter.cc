@@ -4,39 +4,6 @@
 
 namespace scalewall::vec {
 
-namespace {
-
-// lo <= v <= hi as a single unsigned compare: v - lo wraps below lo.
-inline bool InRange(uint32_t v, uint32_t lo, uint32_t hi) {
-  return (v - lo) <= (hi - lo);
-}
-
-}  // namespace
-
-void SelRangeInit(const uint32_t* col, RowIndex begin, RowIndex end,
-                  uint32_t lo, uint32_t hi, SelVec& sel) {
-  sel.clear();
-  sel.resize(end - begin);
-  size_t n = 0;
-  const uint32_t span = hi - lo;
-  for (RowIndex i = begin; i < end; ++i) {
-    sel[n] = i;
-    n += (col[i] - lo) <= span ? 1 : 0;
-  }
-  sel.resize(n);
-}
-
-void SelRangeRefine(const uint32_t* col, uint32_t lo, uint32_t hi,
-                    SelVec& sel) {
-  size_t n = 0;
-  const uint32_t span = hi - lo;
-  for (RowIndex row : sel) {
-    sel[n] = row;
-    n += (col[row] - lo) <= span ? 1 : 0;
-  }
-  sel.resize(n);
-}
-
 InSet::InSet(const std::vector<uint32_t>& values, uint32_t domain) {
   use_bitset_ = domain <= kBitsetDomainLimit;
   if (use_bitset_) {

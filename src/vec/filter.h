@@ -1,11 +1,12 @@
-// Selection-vector filter kernels.
+// Selection-vector filter kernels for IN lists and joined attributes.
 //
-// Each kernel evaluates one predicate over a uint32 column for a whole
-// chunk of rows, either seeding a fresh selection vector or compacting an
-// existing one. The loops are branch-light (a single unsigned compare
-// decides range membership; survivors are written unconditionally and the
-// cursor advanced by the predicate's 0/1 result) so compilers vectorize
-// them — no per-row virtual dispatch, no std::find.
+// Range filters are evaluated by the fused scan kernel (vec/scan_kernel.h);
+// the kernels here refine its selection, or seed one when a chunk has no
+// range filter. Each evaluates one predicate over a uint32 column for a
+// whole chunk of rows, either seeding a fresh selection vector or
+// compacting an existing one. The loops are branch-light (survivors are
+// written unconditionally and the cursor advanced by the predicate's 0/1
+// result) — no per-row virtual dispatch, no std::find.
 
 #ifndef SCALEWALL_VEC_FILTER_H_
 #define SCALEWALL_VEC_FILTER_H_
@@ -17,14 +18,6 @@
 #include "vec/selvec.h"
 
 namespace scalewall::vec {
-
-// Seeds `sel` with every row i in [begin, end) where lo <= col[i] <= hi.
-void SelRangeInit(const uint32_t* col, RowIndex begin, RowIndex end,
-                  uint32_t lo, uint32_t hi, SelVec& sel);
-
-// Compacts `sel`, keeping rows where lo <= col[row] <= hi.
-void SelRangeRefine(const uint32_t* col, uint32_t lo, uint32_t hi,
-                    SelVec& sel);
 
 // Compiled IN-list: a bitset probe when the filtered dimension's domain
 // is small enough to afford one, a sorted-vector binary search otherwise.

@@ -120,14 +120,16 @@ PackedSlotMap::~PackedSlotMap() {
   tls_remap.in_use = false;
 }
 
-void PackedSlotMap::Assign(const uint64_t* keys, size_t n, uint32_t* slots) {
+template <typename Key>
+void PackedSlotMap::AssignImpl(const Key* keys, size_t n, uint32_t* slots) {
   if (remap_ != nullptr) {
     for (size_t i = 0; i < n; ++i) {
-      uint32_t entry = remap_[keys[i]];
+      const uint64_t key = keys[i];
+      uint32_t entry = remap_[key];
       if (entry == 0) {
-        keys_.push_back(keys[i]);
+        keys_.push_back(key);
         entry = static_cast<uint32_t>(keys_.size());
-        remap_[keys[i]] = entry;
+        remap_[key] = entry;
       }
       slots[i] = entry - 1;
     }
@@ -154,6 +156,14 @@ void PackedSlotMap::Assign(const uint64_t* keys, size_t n, uint32_t* slots) {
       b = (b + 1) & mask_;
     }
   }
+}
+
+void PackedSlotMap::Assign(const uint64_t* keys, size_t n, uint32_t* slots) {
+  AssignImpl(keys, n, slots);
+}
+
+void PackedSlotMap::Assign(const uint32_t* keys, size_t n, uint32_t* slots) {
+  AssignImpl(keys, n, slots);
 }
 
 std::vector<uint32_t> PackedSlotMap::SlotsByKey() const {

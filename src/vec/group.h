@@ -89,7 +89,10 @@ class PackedSlotMap {
   PackedSlotMap& operator=(const PackedSlotMap&) = delete;
 
   // slots[i] = the slot of keys[i], assigning new slots as keys appear.
+  // `slots` may alias 32-bit `keys` (each key is read before its slot is
+  // written).
   void Assign(const uint64_t* keys, size_t n, uint32_t* slots);
+  void Assign(const uint32_t* keys, size_t n, uint32_t* slots);
 
   size_t num_slots() const { return keys_.size(); }
   // Packed key of every slot, in slot order.
@@ -100,6 +103,8 @@ class PackedSlotMap {
   std::vector<uint32_t> SlotsByKey() const;
 
  private:
+  template <typename Key>
+  void AssignImpl(const Key* keys, size_t n, uint32_t* slots);
   void Rehash(size_t new_buckets);
 
   uint64_t key_space_;

@@ -14,6 +14,9 @@
 #define SCALEWALL_VEC_SELVEC_H_
 
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 namespace scalewall::vec {
@@ -21,15 +24,35 @@ namespace scalewall::vec {
 // Row index within one data chunk (brick row ranges are < 2^32).
 using RowIndex = uint32_t;
 
-// Ascending list of surviving row indices.
-using SelVec = std::vector<RowIndex>;
+// An allocator whose resize() leaves new elements uninitialized: scan
+// scratch is sized to a chunk and then written by a kernel, so zeroing
+// it first would be a wasted pass per chunk.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
 
-// Initializes `sel` to the identity selection [begin, end).
-inline void SelIota(RowIndex begin, RowIndex end, SelVec& sel) {
-  sel.clear();
-  sel.reserve(end - begin);
-  for (RowIndex i = begin; i < end; ++i) sel.push_back(i);
-}
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+// Scan scratch of kernel-written values.
+template <typename T>
+using ScratchVec = std::vector<T, DefaultInitAllocator<T>>;
+
+// Ascending list of surviving row indices.
+using SelVec = ScratchVec<RowIndex>;
 
 }  // namespace scalewall::vec
 

@@ -53,6 +53,18 @@ TEST(ReplicatedTableTest, SetValidation) {
   EXPECT_EQ(dim.Attribute(1, 0), 2u);
 }
 
+TEST(ReplicatedTableTest, RestoreRejectsOutOfDomainValues) {
+  // A decoded snapshot is held to Set()'s domain rule: the vectorized
+  // scan sizes group-join slots by the attribute's cardinality.
+  ReplicatedTable dim("d", 3, {Dimension{"a", 4, 1}});
+  EXPECT_TRUE(dim.RestoreColumns({{0, kNoAttribute, 3}}, 2).ok());
+  EXPECT_EQ(dim.Attribute(2, 0), 3u);
+  EXPECT_EQ(dim.RestoreColumns({{0, 4, 3}}, 3).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(dim.RestoreColumns({{0, 1}}, 2).code(),
+            StatusCode::kInvalidArgument);  // column length
+}
+
 // Fact schema: (day, campaign); metric spend. Campaign is dim 1.
 TableSchema FactSchema() {
   TableSchema schema;

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -20,8 +24,10 @@
 #include "cubrick/query.h"
 #include "cubrick/replicated_table.h"
 #include "cubrick/schema.h"
+#include "cubrick/vec_scan.h"
 #include "exec/morsel.h"
 #include "exec/thread_pool.h"
+#include "vec/scan_kernel.h"
 #include "workload/generators.h"
 
 namespace scalewall::cubrick {
@@ -318,6 +324,215 @@ TEST(VecDifferentialTest, RlePrefilterSkipsDecompression) {
   ASSERT_TRUE(int_part.Execute(q, oracle, nullptr, &int_opts).ok());
   EXPECT_GT(int_part.decompressions(), 0);  // the oracle had to inflate
   EXPECT_TRUE(BitIdentical(vec, oracle));
+}
+
+// --- scan kernel bodies, brick by brick ---
+//
+// Partition::Execute runs the body this CPU picked. These tests force
+// each body into a compiled plan and scan morsels of every brick with
+// it, against the interpreted ScanRange over the same morsels: morsels
+// start mid-brick, end on 4,096-row chunk edges and leave tails of 0-15
+// rows.
+
+std::vector<const vec::ScanKernel*> KernelBodies() {
+  std::vector<const vec::ScanKernel*> out = {&vec::PortableScanKernel()};
+  if (vec::Avx512ScanKernel() != nullptr) {
+    out.push_back(vec::Avx512ScanKernel());
+  } else {
+    std::printf("no AVX-512F on this CPU: only the portable body runs\n");
+  }
+  return out;
+}
+
+// Scans every brick of `part` in morsels of `morsel` rows (the first one
+// `offset` rows long when offset > 0) through `kernel` and through the
+// interpreted scan, and checks the flushed groups byte for byte.
+void ExpectBodyAgreesWithOracle(TablePartition& part, const Query& q,
+                                const JoinContext* join,
+                                const vec::ScanKernel& kernel, size_t morsel,
+                                size_t offset) {
+  ASSERT_TRUE(q.Validate(part.schema()).ok());
+  VecScanPlan plan = BuildVecScanPlan(part.schema(), q, join);
+  plan.kernel = &kernel;
+  VecExecState vstate(plan);
+  RowScanGroups groups(q.aggregations.size());
+  std::atomic<int64_t> decompressions{0};
+  int64_t rows = 0;
+  for (auto& [id, brick] : part.mutable_bricks()) {
+    size_t begin = 0;
+    while (begin < brick.num_rows()) {
+      const size_t step = begin == 0 && offset > 0 ? offset : morsel;
+      const size_t end = std::min(brick.num_rows(), begin + step);
+      brick.ScanRangeVec(plan, vstate, &decompressions, begin, end);
+      brick.ScanRange(q, groups, &decompressions, join, begin, end);
+      rows += static_cast<int64_t>(end - begin);
+      begin = end;
+    }
+  }
+  QueryResult vec(q.aggregations.size());
+  QueryResult oracle(q.aggregations.size());
+  vstate.Flush(vec);
+  groups.Flush(oracle);
+  oracle.rows_scanned = rows;
+  EXPECT_TRUE(BitIdentical(vec, oracle))
+      << vec::ScanIsaName(kernel.isa) << " morsel " << morsel << " offset "
+      << offset << " " << CanonicalQueryFingerprint(q);
+}
+
+// 0-4 range filters (some all-pass, some over [0, UINT32_MAX]), then
+// sometimes IN and join filters that refine the kernel's selection;
+// 0-5 grouped dimensions, so every group mode is reached.
+Query KernelQuery(const TableSchema& schema, Rng& rng, bool with_join) {
+  Query q;
+  q.table = "t";
+  const int dims = static_cast<int>(schema.dimensions.size());
+  for (uint64_t f = 0, n = rng.NextBounded(5); f < n; ++f) {
+    const int d = static_cast<int>(rng.NextBounded(dims));
+    const uint32_t card = schema.dimensions[d].cardinality;
+    uint32_t lo = 0;
+    uint32_t hi = 4294967295u;
+    if (rng.NextBool(0.8)) {
+      lo = static_cast<uint32_t>(rng.NextBounded(card));
+      hi = lo + static_cast<uint32_t>(rng.NextBounded(card - lo));
+    }
+    q.filters.push_back({d, lo, hi});
+  }
+  if (rng.NextBool(0.25)) {
+    FilterIn in;
+    in.dimension = static_cast<int>(rng.NextBounded(dims));
+    for (uint64_t i = 0, n = 1 + rng.NextBounded(6); i < n; ++i) {
+      in.values.push_back(static_cast<uint32_t>(
+          rng.NextBounded(schema.dimensions[in.dimension].cardinality)));
+    }
+    q.in_filters.push_back(in);
+  }
+  if (with_join && rng.NextBool(0.5)) {
+    q.joins.push_back({0, "colors", 0});
+    if (rng.NextBool(0.6)) {
+      q.join_filters.push_back(
+          {0, 0, static_cast<uint32_t>(1 + rng.NextBounded(6))});
+    }
+    if (rng.NextBool(0.3)) q.group_by_joins.push_back(0);
+  }
+  for (int d = 0; d < dims; ++d) {
+    if (rng.NextBool(0.5)) q.group_by.push_back(d);
+  }
+  const AggOp ops[] = {AggOp::kSum, AggOp::kCount, AggOp::kMin, AggOp::kMax,
+                       AggOp::kAvg};
+  for (uint64_t i = 0, n = 1 + rng.NextBounded(4); i < n; ++i) {
+    q.aggregations.push_back(
+        {static_cast<int>(rng.NextBounded(2)), ops[rng.NextBounded(5)]});
+  }
+  return q;
+}
+
+TEST(VecKernelDifferentialTest, BodiesAgreeWithOracleOnMorsels) {
+  // Cardinality 16 over 5 dimensions: 3 grouped dimensions are direct
+  // (4,096 slots), 4 packed in the remap array (65,536), 5 packed in the
+  // hash (2^20). One bucket per dimension puts all 9,000 rows in one
+  // brick (three 4,096-row chunks); the second layout has many bricks.
+  const ReplicatedTable dim = MakeDimTable("colors", 16, 21);
+  std::map<std::pair<VecScanPlan::GroupMode, bool>, int> reached;
+  for (uint32_t range_size : {16u, 4u}) {
+    SCOPED_TRACE(range_size);
+    const TableSchema schema = workload::MakeSchema(5, 16, range_size, 2);
+    TablePartition part = MakeLoadedPartition(schema, 9000, range_size);
+    Rng rng(range_size * 7919);
+    for (int i = 0; i < 40; ++i) {
+      const Query q = KernelQuery(schema, rng, true);
+      JoinContext join;
+      join.tables.assign(q.joins.size(), &dim);
+      const JoinContext* ctx = q.joins.empty() ? nullptr : &join;
+      const VecScanPlan plan = BuildVecScanPlan(schema, q, ctx);
+      ++reached[{plan.mode, plan.fused_keys}];
+      const size_t morsels[][2] = {
+          {1u << 20, 0}, {4096, 0}, {4096, 13}, {1000, 4095}, {37, 5}};
+      const auto& [morsel, offset] = morsels[i % 5];
+      for (const vec::ScanKernel* kernel : KernelBodies()) {
+        ExpectBodyAgreesWithOracle(part, q, ctx, *kernel, morsel, offset);
+      }
+    }
+  }
+  // Fused and unfused plans of every keyed mode were exercised.
+  using M = VecScanPlan::GroupMode;
+  for (M mode : {M::kDirect, M::kPacked}) {
+    EXPECT_GT((reached[{mode, true}]), 0);
+    EXPECT_GT((reached[{mode, false}]), 0);
+  }
+  EXPECT_GT((reached[{M::kGlobal, false}]), 0);
+}
+
+TEST(VecKernelDifferentialTest, FusedKeysStopBelowTwoToThe32) {
+  // Key space 65535 * 65537 = 2^32 - 1 keeps the fused 32-bit keys;
+  // 65536 * 65536 = 2^32 takes the 64-bit packed-key fallback. Both must
+  // agree with the oracle, with every body and through Execute.
+  struct Space {
+    uint32_t a;
+    uint32_t b;
+    bool fused;
+  };
+  for (const Space& space : {Space{65535, 65537, true},
+                             Space{65536, 65536, false}}) {
+    SCOPED_TRACE(space.a);
+    TableSchema schema;
+    schema.dimensions = {{"a", space.a, space.a}, {"b", space.b, space.b}};
+    schema.metrics = {{"m0"}, {"m1"}};
+    TablePartition part("t", 0, schema);
+    Rng rng(space.b);
+    for (int i = 0; i < 3000; ++i) {
+      Row row;
+      // Values near the top of each domain reach the largest keys.
+      row.dims = {space.a - 1 - static_cast<uint32_t>(rng.NextBounded(40)),
+                  space.b - 1 - static_cast<uint32_t>(rng.NextBounded(40))};
+      row.metrics = {rng.NextDouble() * 100, rng.NextDouble()};
+      ASSERT_TRUE(part.Insert(row).ok());
+    }
+    Query q;
+    q.table = "t";
+    q.filters = {{0, space.a - 30, space.a - 1}, {1, 0, space.b - 3}};
+    q.group_by = {0, 1};
+    q.aggregations = {{0, AggOp::kSum}, {1, AggOp::kMax}, {0, AggOp::kCount}};
+    const VecScanPlan plan = BuildVecScanPlan(schema, q, nullptr);
+    EXPECT_EQ(plan.mode, VecScanPlan::GroupMode::kPacked);
+    EXPECT_EQ(plan.fused_keys, space.fused);
+    EXPECT_EQ(plan.layout.total_slots,
+              uint64_t{space.a} * uint64_t{space.b});
+    for (const vec::ScanKernel* kernel : KernelBodies()) {
+      ExpectBodyAgreesWithOracle(part, q, nullptr, *kernel, 1000, 17);
+    }
+    ExpectPathsAgree(part, q, nullptr);
+  }
+}
+
+TEST(VecKernelDifferentialTest, OnlyRangeOnlyPlansFuseKeys) {
+  const TableSchema schema = workload::MakeSchema(3, 64, 16, 2);
+  const ReplicatedTable dim = MakeDimTable("colors", 64, 7);
+  JoinContext join;
+  join.tables = {&dim};
+  Query q;
+  q.table = "t";
+  q.filters = {{0, 3, 40}};
+  q.group_by = {0, 1};  // 4,096 slots: direct
+  q.aggregations = {{0, AggOp::kSum}};
+  EXPECT_TRUE(BuildVecScanPlan(schema, q, nullptr).fused_keys);
+  q.group_by = {0, 1, 2};  // packed
+  EXPECT_TRUE(BuildVecScanPlan(schema, q, nullptr).fused_keys);
+  Query global = q;
+  global.group_by.clear();
+  EXPECT_FALSE(BuildVecScanPlan(schema, global, nullptr).fused_keys);
+  Query in = q;
+  in.in_filters = {{1, {2, 5}}};
+  EXPECT_FALSE(BuildVecScanPlan(schema, in, nullptr).fused_keys);
+  Query joined = q;
+  joined.joins = {{0, "colors", 0}};
+  joined.join_filters = {{0, 1, 4}};
+  EXPECT_FALSE(BuildVecScanPlan(schema, joined, &join).fused_keys);
+  joined.join_filters.clear();
+  joined.group_by_joins = {0};
+  EXPECT_FALSE(BuildVecScanPlan(schema, joined, &join).fused_keys);
+  // Every plan carries this CPU's body.
+  EXPECT_EQ(BuildVecScanPlan(schema, q, nullptr).kernel,
+            &vec::ActiveScanKernel());
 }
 
 // --- satellite regressions ---

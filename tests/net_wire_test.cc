@@ -17,12 +17,16 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "cubrick/net_service.h"
+#include "cubrick/partition.h"
+#include "cubrick/replicated_table.h"
 #include "cubrick/wire.h"
+#include "exec/morsel.h"
 #include "net/sim_transport.h"
 #include "net/telemetry.h"
 #include "net/wire.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "workload/generators.h"
 
 namespace scalewall {
 namespace {
@@ -1134,6 +1138,88 @@ TEST(WireMutationTest, MutantsDecodeOrAreRefusedAsMalformed) {
     // Most mutants must be caught; an accepted one is a valid message.
     EXPECT_LT(accepted, kMutantsPerTarget) << target.name;
   }
+}
+
+// Hostile plans reach the scan kernels: a subquery request is decoded,
+// validated and executed on a partition, as a partition host serves it
+// (broadcast dim snapshots from the envelope become the join context).
+// Every mutant that survives decoding and Query::Validate must scan to
+// OK or a typed Status — never a crash or an out-of-bounds access (the
+// asan/ubsan build is the check).
+TEST(WireMutationTest, SubqueryRequestMutantsScanOrFailTyped) {
+  const cubrick::TableSchema schema =
+      workload::MakeSchema(/*dims=*/3, /*cardinality=*/16,
+                           /*range_size=*/4, /*metrics=*/2);
+  cubrick::TablePartition part("t", 0, schema);
+  Rng rng(0x5B0C);
+  for (const cubrick::Row& row : workload::GenerateRows(schema, 600, rng)) {
+    ASSERT_TRUE(part.Insert(row).ok());
+  }
+  cubrick::ReplicatedTable dim("colors", 16, {{"color", 8, 1}, {"size", 5, 1}});
+  for (uint32_t key = 0; key < 16; key += 2) {
+    ASSERT_TRUE(dim.Set({key, {key % 8, key % 5}}).ok());
+  }
+
+  std::vector<std::string> payloads;
+  std::vector<std::vector<size_t>> counts;
+  for (int i = 0; i < 12; ++i) {
+    cubrick::wire::SubqueryEnvelope envelope;
+    Query& q = envelope.query;
+    q.table = "t";
+    for (int d = 0; d < 3; ++d) {
+      if (rng.NextBool(0.6)) {
+        const uint32_t lo = static_cast<uint32_t>(rng.NextBounded(16));
+        q.filters.push_back({d, lo, lo + static_cast<uint32_t>(
+                                             rng.NextBounded(16 - lo))});
+      }
+      if (rng.NextBool(0.5)) q.group_by.push_back(d);
+    }
+    if (i % 3 == 1) q.in_filters.push_back({1, {2, 7, 11}});
+    if (i % 4 == 2) {
+      q.joins.push_back({0, "colors", static_cast<int>(i % 2)});
+      q.join_filters.push_back({0, 1, 4});
+      q.group_by_joins.push_back(0);
+      envelope.dims = {dim};
+    }
+    q.aggregations = {{0, cubrick::AggOp::kSum}, {1, cubrick::AggOp::kMax}};
+    if (i % 2 == 1) q.aggregations.push_back({0, cubrick::AggOp::kCount});
+    envelope.scan_path = i % 5 == 4 ? exec::ScanPath::kInterpreted
+                                    : exec::ScanPath::kVectorized;
+    payloads.push_back(cubrick::wire::EncodeSubqueryRequest(envelope));
+    // The query's filter, IN-filter and group-by counts.
+    const size_t filters_at = 4 + q.table.size();
+    const size_t ins_at = filters_at + 4 + 12 * q.filters.size();
+    size_t group_at = ins_at + 4;
+    for (const cubrick::FilterIn& f : q.in_filters) {
+      group_at += 8 + 4 * f.values.size();
+    }
+    counts.push_back({filters_at, ins_at, group_at});
+  }
+
+  constexpr int kMutants = 20000;
+  int scanned = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const size_t p = rng.NextBounded(payloads.size());
+    const std::string mutant = Mutate(rng, payloads[p], counts[p]);
+    auto envelope = cubrick::wire::DecodeSubqueryRequest(mutant);
+    if (!envelope.ok() || !envelope->query.Validate(schema).ok()) continue;
+    ++scanned;
+    cubrick::JoinContext join;
+    for (size_t j = 0; j < envelope->query.joins.size(); ++j) {
+      join.tables.push_back(j < envelope->dims.size() ? &envelope->dims[j]
+                                                      : nullptr);
+    }
+    exec::ExecOptions opts;
+    opts.scan_path = envelope->scan_path;
+    cubrick::QueryResult result(envelope->query.aggregations.size());
+    const cubrick::JoinContext* ctx =
+        envelope->query.joins.empty() ? nullptr : &join;
+    const Status status = part.Execute(envelope->query, result, ctx, &opts);
+    // A refusal names its reason.
+    EXPECT_TRUE(status.ok() || !status.message().empty()) << "mutant " << i;
+  }
+  // Enough mutants were valid plans to mean something.
+  EXPECT_GT(scanned, kMutants / 20);
 }
 
 TEST(WireDifferentialTest, GarbagePayloadsRejected) {

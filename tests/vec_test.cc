@@ -1,13 +1,15 @@
-// Unit tests for the scalewall::vec kernel library (ISSUE 6): selection
-// vector filter kernels, IN probe structures, join probes, mixed-radix
-// and hashed group-slot computation, and the templated accumulation
-// kernels — each checked against a straightforward scalar reference.
+// Unit tests for the scalewall::vec kernel library: the fused
+// range-selection + key scan kernel (both bodies), IN probe structures,
+// join probes, mixed-radix and hashed group-slot computation, and the
+// templated accumulation kernels — each checked against a
+// straightforward scalar reference.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -15,6 +17,7 @@
 #include "vec/agg.h"
 #include "vec/filter.h"
 #include "vec/group.h"
+#include "vec/scan_kernel.h"
 #include "vec/selvec.h"
 
 namespace scalewall::vec {
@@ -22,44 +25,196 @@ namespace {
 
 using cubrick::AggState;
 
+// The kernel bodies this host can run: the portable one everywhere, the
+// AVX-512 one where the CPU has it.
+std::vector<const ScanKernel*> Bodies() {
+  std::vector<const ScanKernel*> out = {&PortableScanKernel()};
+  if (Avx512ScanKernel() != nullptr) out.push_back(Avx512ScanKernel());
+  return out;
+}
+
+// Runs `kernel` over [begin, end) into exactly-sized (plus pad) outputs.
+SelVec Select(const ScanKernel& kernel, const std::vector<RangeColumn>& ranges,
+              const std::vector<KeyColumn>& keys, RowIndex begin,
+              RowIndex end, std::vector<uint32_t>* keys_out = nullptr) {
+  SelVec rows(end - begin + kSelectPad);
+  std::vector<uint32_t> key_buf(end - begin + kSelectPad);
+  const size_t n = kernel.select_keys(ranges.data(), ranges.size(),
+                                      keys.data(), keys.size(), begin, end,
+                                      rows.data(), key_buf.data());
+  rows.resize(n);
+  key_buf.resize(keys.empty() ? 0 : n);
+  if (keys_out != nullptr) *keys_out = std::move(key_buf);
+  return rows;
+}
+
 TEST(SelVecTest, IotaCoversRange) {
-  SelVec sel;
-  SelIota(3, 7, sel);
-  EXPECT_EQ(sel, (SelVec{3, 4, 5, 6}));
-  SelIota(5, 5, sel);
-  EXPECT_TRUE(sel.empty());
+  // With no range filter every row of the range is selected.
+  for (const ScanKernel* kernel : Bodies()) {
+    SCOPED_TRACE(ScanIsaName(kernel->isa));
+    EXPECT_EQ(Select(*kernel, {}, {}, 3, 7), (SelVec{3, 4, 5, 6}));
+    EXPECT_TRUE(Select(*kernel, {}, {}, 5, 5).empty());
+    SelVec wide;
+    for (RowIndex i = 9; i < 50; ++i) wide.push_back(i);
+    EXPECT_EQ(Select(*kernel, {}, {}, 9, 50), wide);
+  }
 }
 
 TEST(FilterKernelTest, RangeInitMatchesScalar) {
   Rng rng(7);
   std::vector<uint32_t> col(1000);
   for (auto& v : col) v = static_cast<uint32_t>(rng.NextBounded(100));
-  SelVec sel;
-  SelRangeInit(col.data(), 100, 900, 20, 60, sel);
   SelVec expect;
   for (RowIndex i = 100; i < 900; ++i) {
     if (col[i] >= 20 && col[i] <= 60) expect.push_back(i);
   }
-  EXPECT_EQ(sel, expect);
+  for (const ScanKernel* kernel : Bodies()) {
+    SCOPED_TRACE(ScanIsaName(kernel->isa));
+    EXPECT_EQ(Select(*kernel, {{col.data(), 20, 60}}, {}, 100, 900), expect);
+  }
 }
 
 TEST(FilterKernelTest, RangeInitFullDomainAndEmpty) {
   std::vector<uint32_t> col = {0, 5, 4294967295u, 7};
-  SelVec sel;
-  // lo=0, hi=UINT32_MAX admits everything (the unsigned-wrap compare
-  // must not reject boundary values).
-  SelRangeInit(col.data(), 0, 4, 0, 4294967295u, sel);
-  EXPECT_EQ(sel, (SelVec{0, 1, 2, 3}));
-  // An impossible band admits nothing.
-  SelRangeInit(col.data(), 0, 4, 100, 200, sel);
-  EXPECT_TRUE(sel.empty());
+  for (const ScanKernel* kernel : Bodies()) {
+    SCOPED_TRACE(ScanIsaName(kernel->isa));
+    // lo=0, hi=UINT32_MAX admits everything (the unsigned-wrap compare
+    // must not reject boundary values).
+    EXPECT_EQ(Select(*kernel, {{col.data(), 0, 4294967295u}}, {}, 0, 4),
+              (SelVec{0, 1, 2, 3}));
+    // An impossible band admits nothing.
+    EXPECT_TRUE(Select(*kernel, {{col.data(), 100, 200}}, {}, 0, 4).empty());
+    // A band ending at UINT32_MAX keeps only the top value.
+    EXPECT_EQ(Select(*kernel, {{col.data(), 8, 4294967295u}}, {}, 0, 4),
+              (SelVec{2}));
+  }
 }
 
 TEST(FilterKernelTest, RangeRefineCompactsInPlace) {
-  std::vector<uint32_t> col = {9, 1, 5, 5, 2, 8};
-  SelVec sel = {0, 2, 3, 4};  // pre-selected rows
-  SelRangeRefine(col.data(), 2, 6, sel);
-  EXPECT_EQ(sel, (SelVec{2, 3, 4}));
+  // The second range narrows the first one's survivors.
+  std::vector<uint32_t> first = {9, 1, 5, 5, 2, 8};
+  std::vector<uint32_t> second = {0, 7, 3, 3, 2, 3};
+  for (const ScanKernel* kernel : Bodies()) {
+    SCOPED_TRACE(ScanIsaName(kernel->isa));
+    EXPECT_EQ(Select(*kernel,
+                     {{first.data(), 2, 8}, {second.data(), 2, 6}}, {}, 0,
+                     6),
+              (SelVec{2, 3, 4, 5}));
+    EXPECT_EQ(Select(*kernel,
+                     {{first.data(), 2, 6}, {second.data(), 3, 3}}, {}, 0,
+                     6),
+              (SelVec{2, 3}));
+  }
+}
+
+// --- fused scan kernel: both bodies against the scalar reference ---
+//
+// The reference is the definition: a row survives when every range
+// admits it, and its key is the mixed-radix sum the column-at-a-time
+// slot kernel (SlotAccumulate) computes over the survivors.
+void ExpectBodyMatchesReference(const ScanKernel& kernel) {
+  Rng rng(0x5CA9);
+  constexpr size_t kCols = 5;
+  constexpr size_t kRows = 2 * 4096 + 77;
+  // Small domains make every selectivity reachable; one column holds the
+  // uint32 extremes.
+  std::vector<std::vector<uint32_t>> cols(kCols, std::vector<uint32_t>(kRows));
+  const uint32_t domains[kCols] = {4, 16, 64, 3, 0};
+  for (size_t c = 0; c < kCols; ++c) {
+    for (uint32_t& v : cols[c]) {
+      v = domains[c] != 0 ? static_cast<uint32_t>(rng.NextBounded(domains[c]))
+                          : (rng.NextBool(0.5) ? 4294967295u
+                                               : static_cast<uint32_t>(
+                                                     rng.Next()));
+    }
+  }
+  // Row ranges: tails of 0-15 rows, 4,096-row chunk edges, and ranges
+  // that start mid-column.
+  std::vector<std::pair<RowIndex, RowIndex>> spans;
+  for (RowIndex len = 0; len < 40; ++len) spans.push_back({0, len});
+  for (RowIndex len = 0; len < 16; ++len) spans.push_back({13, 13 + len});
+  spans.push_back({0, 4096});
+  spans.push_back({0, 4095});
+  spans.push_back({1, 4097});
+  spans.push_back({4096, 8192});
+  spans.push_back({4000, 4200});
+  spans.push_back({777, static_cast<RowIndex>(kRows)});
+  spans.push_back({0, static_cast<RowIndex>(kRows)});
+
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto [begin, end] = spans[static_cast<size_t>(trial) % spans.size()];
+    std::vector<RangeColumn> ranges;
+    for (uint64_t f = 0, nr = rng.NextBounded(5); f < nr; ++f) {
+      const size_t c = rng.NextBounded(kCols);
+      uint32_t lo = 0;
+      uint32_t hi = 4294967295u;
+      switch (rng.NextBounded(4)) {
+        case 0:  // all pass
+          break;
+        case 1:  // none pass (outside the small domains)
+          lo = 100;
+          hi = 200;
+          break;
+        default: {
+          const uint32_t dom = domains[c] != 0 ? domains[c] : 4294967295u;
+          lo = static_cast<uint32_t>(rng.NextBounded(dom));
+          hi = lo + static_cast<uint32_t>(rng.NextBounded(dom - lo));
+        }
+      }
+      ranges.push_back({cols[c].data(), lo, hi});
+    }
+    std::vector<KeyColumn> keys;
+    uint32_t stride = 1;
+    for (uint64_t k = 0, nk = rng.NextBounded(4); k < nk; ++k) {
+      const size_t c = rng.NextBounded(kCols - 1);  // bounded domains
+      keys.push_back({cols[c].data(), stride});
+      stride *= domains[c];
+    }
+    std::reverse(keys.begin(), keys.end());
+
+    SelVec expect_rows;
+    for (RowIndex r = begin; r < end; ++r) {
+      bool pass = true;
+      for (const RangeColumn& f : ranges) {
+        pass = pass && f.col[r] >= f.lo && f.col[r] <= f.hi;
+      }
+      if (pass) expect_rows.push_back(r);
+    }
+    std::vector<uint32_t> expect_keys(keys.empty() ? 0 : expect_rows.size(),
+                                      0);
+    for (const KeyColumn& k : keys) {
+      SlotAccumulate(k.col, expect_rows.data(), expect_rows.size(), k.stride,
+                     expect_keys.data());
+    }
+
+    std::vector<uint32_t> got_keys;
+    const SelVec got = Select(kernel, ranges, keys, begin, end, &got_keys);
+    ASSERT_EQ(got, expect_rows) << "trial " << trial << " [" << begin << ", "
+                                << end << ") ranges=" << ranges.size();
+    ASSERT_EQ(got_keys, expect_keys) << "trial " << trial;
+  }
+}
+
+TEST(ScanKernelTest, PortableBodyMatchesReference) {
+  ExpectBodyMatchesReference(PortableScanKernel());
+}
+
+TEST(ScanKernelTest, Avx512BodyMatchesReference) {
+  if (Avx512ScanKernel() == nullptr) {
+    GTEST_SKIP() << "this CPU (or build target) has no AVX-512F; only the "
+                    "portable body runs here";
+  }
+  EXPECT_EQ(Avx512ScanKernel()->isa, ScanIsa::kAvx512);
+  ExpectBodyMatchesReference(*Avx512ScanKernel());
+}
+
+TEST(ScanKernelTest, ActiveBodyFollowsTheCpu) {
+  const ScanIsa expect = Avx512ScanKernel() != nullptr ? ScanIsa::kAvx512
+                                                       : ScanIsa::kPortable;
+  EXPECT_EQ(ActiveScanKernel().isa, expect);
+  EXPECT_EQ(&ActiveScanKernel(), &ActiveScanKernel());
+  EXPECT_STREQ(ScanIsaName(ScanIsa::kAvx512), "avx512");
+  EXPECT_STREQ(ScanIsaName(ScanIsa::kPortable), "portable");
 }
 
 TEST(InSetTest, BitsetModeMatchesLinearFind) {
@@ -282,6 +437,22 @@ TEST(PackedSlotMapTest, SlotsByKeyWalksOrSorts) {
   }
 }
 
+TEST(PackedSlotMapTest, ThirtyTwoBitKeysAssignInPlace) {
+  // The fused scan kernel's 32-bit keys become slots in the same buffer,
+  // in both the remap and the hash mode.
+  for (uint64_t key_space : {uint64_t{1000}, uint64_t{1} << 31}) {
+    PackedSlotMap wide(key_space);
+    PackedSlotMap narrow(key_space);
+    const uint64_t keys64[] = {7, 3, 7, 999, 3, 0};
+    uint32_t buf[] = {7, 3, 7, 999, 3, 0};
+    uint32_t expect[6];
+    wide.Assign(keys64, 6, expect);
+    narrow.Assign(buf, 6, buf);
+    EXPECT_TRUE(std::equal(buf, buf + 6, expect)) << key_space;
+    EXPECT_EQ(narrow.keys(), wide.keys());
+  }
+}
+
 TEST(PackedSlotMapTest, HashModeSurvivesGrowth) {
   Rng rng(9);
   std::vector<uint64_t> keys;
@@ -313,8 +484,10 @@ TEST(PackedSlotMapTest, TwoLiveMapsOnOneThreadStayApart) {
 TEST(AggKernelTest, AccumulateMatchesScalarAddSequence) {
   Rng rng(17);
   const size_t kRows = 300;
-  std::vector<double> metric(kRows);
-  for (auto& v : metric) v = rng.NextDouble() * 100 - 50;
+  std::vector<double> m0(kRows);
+  std::vector<double> m1(kRows);
+  for (auto& v : m0) v = rng.NextDouble() * 100 - 50;
+  for (auto& v : m1) v = rng.NextDouble() * 10 - 5;
   std::vector<uint32_t> group(kRows);
   for (auto& g : group) g = static_cast<uint32_t>(rng.NextBounded(5));
   SelVec rows;
@@ -322,23 +495,32 @@ TEST(AggKernelTest, AccumulateMatchesScalarAddSequence) {
   std::vector<uint32_t> slots(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) slots[i] = group[rows[i]];
 
-  const size_t stride = 2;  // two aggregations interleaved
-  std::vector<AggState> states(5 * stride);
-  AccumulateColumn(states.data(), stride, 0, slots.data(), rows.data(),
-                   rows.size(), metric.data());
-  AccumulateConst(states.data(), stride, 1, slots.data(), rows.size(), 1.0);
-
-  std::vector<AggState> expect(5 * stride);
-  for (uint32_t row : rows) {
-    expect[group[row] * stride + 0].Add(metric[row]);
-    expect[group[row] * stride + 1].Add(1.0);
-  }
-  for (size_t i = 0; i < states.size(); ++i) {
-    EXPECT_TRUE(std::memcmp(&states[i].sum, &expect[i].sum,
-                            sizeof(double)) == 0);
-    EXPECT_EQ(states[i].count, expect[i].count);
-    EXPECT_EQ(states[i].min, expect[i].min);
-    EXPECT_EQ(states[i].max, expect[i].max);
+  // 1-3 aggregations take the fixed-width loops, 5 the generic one;
+  // nullptr columns are COUNTs.
+  const std::vector<std::vector<const double*>> shapes = {
+      {m0.data()},
+      {m0.data(), nullptr},
+      {nullptr, m1.data(), m0.data()},
+      {m1.data(), nullptr, m0.data(), m0.data(), nullptr}};
+  for (const std::vector<const double*>& columns : shapes) {
+    const size_t naggs = columns.size();
+    std::vector<AggState> states(5 * naggs);
+    AccumulateRows(states.data(), naggs, columns.data(), slots.data(),
+                   rows.data(), rows.size());
+    std::vector<AggState> expect(5 * naggs);
+    for (size_t a = 0; a < naggs; ++a) {
+      for (uint32_t row : rows) {
+        expect[group[row] * naggs + a].Add(
+            columns[a] != nullptr ? columns[a][row] : 1.0);
+      }
+    }
+    for (size_t i = 0; i < states.size(); ++i) {
+      EXPECT_TRUE(std::memcmp(&states[i].sum, &expect[i].sum,
+                              sizeof(double)) == 0);
+      EXPECT_EQ(states[i].count, expect[i].count);
+      EXPECT_EQ(states[i].min, expect[i].min);
+      EXPECT_EQ(states[i].max, expect[i].max);
+    }
   }
 }
 
